@@ -43,6 +43,7 @@ def test_benchmark_json_names_every_metric_with_its_unit():
     assert set(spec) == {"command", "paths", "run_seconds", "workloads",
                          "end_to_end", "per_layer"}
     assert [w["name"] for w in spec["workloads"]] == list(harness.WORKLOADS)
+    assert not set(harness.UNLISTED_WORKLOADS) & set(harness.WORKLOADS)
     assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == \
         harness.E2E_UNITS
     assert {m["name"]: m["unit"] for m in spec["per_layer"]} == \
@@ -146,7 +147,8 @@ def test_recorder_wraps_and_restores():
 # Every workload at minimum length
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("trace", [0, 1])
-@pytest.mark.parametrize("workload", harness.WORKLOADS)
+@pytest.mark.parametrize("workload",
+                         harness.WORKLOADS + harness.UNLISTED_WORKLOADS)
 def test_workload_prints_every_metric_with_unit(workload, trace):
     proc = run_bench(workload, trace)
     assert proc.returncode in (0, 1), proc.stderr[-3000:]
@@ -157,6 +159,8 @@ def test_workload_prints_every_metric_with_unit(workload, trace):
     if workload != "eval-svm":   # eval-svm: see the known-defect test
         assert result["correct"] is True and result["failed"] == 0
     units = harness.LAYER_UNITS if trace else harness.E2E_UNITS
+    if trace and workload == "eval-svm":
+        units = {**units, **harness.EVAL_LAYER_UNITS}
     assert {name: m["unit"] for name, m in result["metrics"].items()} == \
         units
     values = {name: m["value"] for name, m in result["metrics"].items()}
