@@ -13,8 +13,9 @@ Tiers run in order and the gate stops at the first failure:
   with ``--run-dir``, then schema validation of the resulting JSONL
   journal (config / epoch with loss_f+loss_g+grad_norm+throughput /
   spectrum / engine / run_end) and a ``repro report`` render; the same
-  smoke then reruns with ``--workers 2`` and the ts-stripped journal
-  streams must match exactly (parallel-determinism contract).  Finally
+  smoke then reruns with ``--workers 2`` and with ``--no-cache``, and the
+  canonical journal streams must match exactly (parallel-determinism and
+  cache-invisibility contracts).  Finally
   the checkpoint/resume drill: a straight 4-epoch ``repro run`` vs the
   same config interrupted after 2 epochs and continued with
   ``repro run --resume`` — canonicalized journals must be identical.
@@ -165,11 +166,12 @@ def _canonical_events(run_dir: str) -> list[dict]:
 def tier_c_smoke() -> int:
     """2-epoch telemetry smoke train + journal validation + report render.
 
-    Also reruns the same smoke with ``--workers 2`` and asserts the
-    canonicalized journal streams match — the parallel-determinism
-    contract (identical losses, grad norms, spectra, engine counters)
-    enforced end to end through the CLI — and finishes with the
-    checkpoint/resume drill (:func:`_resume_smoke`).
+    Also reruns the same smoke with ``--workers 2`` and with
+    ``--no-cache`` and asserts the canonicalized journal streams match —
+    the parallel-determinism and cache-invisibility contracts (identical
+    losses, grad norms, spectra, engine counters) enforced end to end
+    through the CLI — and finishes with the checkpoint/resume drill
+    (:func:`_resume_smoke`).
     """
     with tempfile.TemporaryDirectory(prefix="repro-ci-smoke-") as tmp:
         run_dir = str(Path(tmp) / "run")
@@ -184,26 +186,41 @@ def tier_c_smoke() -> int:
                       stdout=subprocess.DEVNULL)
         if status:
             return _preserve(tmp, status)
-        parallel_dir = str(Path(tmp) / "run-workers2")
-        status = _run([sys.executable, "-m", "repro.cli", *SMOKE_ARGS,
-                       "--workers", "2", "--run-dir", parallel_dir])
-        if status:
-            return _preserve(tmp, status)
-        serial = _canonical_events(run_dir)
-        parallel = _canonical_events(parallel_dir)
-        if serial != parallel:
-            diffs = sum(a != b for a, b in zip(serial, parallel))
-            diffs += abs(len(serial) - len(parallel))
-            print(f"  parallel determinism check failed: {diffs} journal "
-                  "event(s) differ between --workers 0 and --workers 2")
-            for a, b in zip(serial, parallel):
-                if a != b:
-                    print(f"    serial:   {a}\n    parallel: {b}")
-                    break
-            return _preserve(tmp, 1)
-        print(f"  parallel determinism ok: {len(serial)} canonical events "
-              "identical at --workers 2")
+        for flags, label in ((["--workers", "2"], "at --workers 2"),
+                             (["--no-cache"], "with --no-cache")):
+            rerun_dir = str(Path(tmp) / ("run" + "".join(flags)))
+            status = _run([sys.executable, "-m", "repro.cli", *SMOKE_ARGS,
+                           *flags, "--run-dir", rerun_dir])
+            if status:
+                return _preserve(tmp, status)
+            status = _same_journal(run_dir, rerun_dir, label)
+            if status:
+                return _preserve(tmp, status)
         return _preserve(tmp, _resume_smoke(tmp))
+
+
+def _same_journal(run_dir: str, rerun_dir: str, label: str) -> int:
+    """Canonical journals of a smoke and its rerun must be identical.
+
+    Canonicalization drops the cache-stats ``metrics`` event and the
+    execution knobs (``workers``, ``cache``, ...), so everything a run
+    computes is compared.
+    """
+    first = _canonical_events(run_dir)
+    again = _canonical_events(rerun_dir)
+    if first != again:
+        diffs = sum(a != b for a, b in zip(first, again))
+        diffs += abs(len(first) - len(again))
+        print(f"  determinism check failed: {diffs} journal event(s) "
+              f"differ {label}")
+        for a, b in zip(first, again):
+            if a != b:
+                print(f"    default: {a}\n    rerun:   {b}")
+                break
+        return 1
+    print(f"  determinism ok: {len(first)} canonical events identical "
+          f"{label}")
+    return 0
 
 
 RESUME_ARGS = ["run", "--method", "GraphCL", "--dataset", "MUTAG",

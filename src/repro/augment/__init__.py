@@ -1,6 +1,6 @@
 """Graph augmentations: structural, feature-level, adaptive, encoder-level."""
 
-from .base import Augmentation, Identity
+from .base import Augmentation, BatchedAugmentation, Identity, ViewArrays
 from .structural import EdgePerturb, NodeDrop, SubgraphSample
 from .features import AttributeMask, FeatureColumnDrop
 from .compose import Compose, RandomChoice
@@ -8,7 +8,7 @@ from .adaptive import AdaptiveEdgeDrop, AdaptiveFeatureMask
 from .encoder_perturb import perturbed_copy
 
 __all__ = [
-    "Augmentation", "Identity",
+    "Augmentation", "BatchedAugmentation", "Identity", "ViewArrays",
     "NodeDrop", "EdgePerturb", "SubgraphSample",
     "AttributeMask", "FeatureColumnDrop",
     "Compose", "RandomChoice",

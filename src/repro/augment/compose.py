@@ -64,7 +64,29 @@ class RandomChoice:
         self._cdf = self.probabilities.cumsum()
         self._cdf /= self._cdf[-1]
 
-    def __call__(self, graph: Graph, rng: np.random.Generator) -> Graph:
+    def _choose(self, rng: np.random.Generator) -> int:
         index = int(np.searchsorted(self._cdf, rng.random(), side="right"))
         self.last_choice = index
-        return self.augmentations[index](graph, rng)
+        return index
+
+    def __call__(self, graph: Graph, rng: np.random.Generator) -> Graph:
+        return self.augmentations[self._choose(rng)](graph, rng)
+
+    @property
+    def batched(self) -> bool:
+        """Batchable when every member augmentation is."""
+        return all(getattr(aug, "batched", False)
+                   for aug in self.augmentations)
+
+    def draw(self, graph: Graph, rng: np.random.Generator):
+        index = self._choose(rng)
+        return index, self.augmentations[index].draw(graph, rng)
+
+    def apply(self, views, plans: list) -> None:
+        """Run each member over the graphs that chose it; a member leaves
+        every other graph untouched, so the members compose in any order."""
+        for index, aug in enumerate(self.augmentations):
+            own = [None if plan is None or plan[0] != index else plan[1]
+                   for plan in plans]
+            if any(plan is not None for plan in own):
+                aug.apply(views, own)

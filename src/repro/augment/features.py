@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import Graph
+from .base import BatchedAugmentation, ViewArrays
 
 __all__ = ["AttributeMask", "FeatureColumnDrop"]
 
 
-class AttributeMask:
+class AttributeMask(BatchedAugmentation):
     """Zero out a random fraction of per-node feature entries.
 
     GraphCL's attribute-masking operator; GRACE uses the column variant
@@ -23,14 +24,14 @@ class AttributeMask:
             raise ValueError(f"mask_ratio must be in [0, 1), got {mask_ratio}")
         self.mask_ratio = mask_ratio
 
-    def __call__(self, graph: Graph, rng: np.random.Generator) -> Graph:
-        out = graph.copy()
-        mask = rng.random(out.x.shape) < self.mask_ratio
-        out.x = np.where(mask, 0.0, out.x)
-        return out
+    def draw(self, graph: Graph, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(graph.x.shape) < self.mask_ratio
+
+    def apply(self, views: ViewArrays, plans: list) -> None:
+        views.zero_features(plans)
 
 
-class FeatureColumnDrop:
+class FeatureColumnDrop(BatchedAugmentation):
     """Zero entire feature columns (GRACE/GCA-style feature masking)."""
 
     name = "feature_column_drop"
@@ -40,9 +41,8 @@ class FeatureColumnDrop:
             raise ValueError(f"drop_ratio must be in [0, 1), got {drop_ratio}")
         self.drop_ratio = drop_ratio
 
-    def __call__(self, graph: Graph, rng: np.random.Generator) -> Graph:
-        out = graph.copy()
-        cols = rng.random(out.x.shape[1]) < self.drop_ratio
-        out.x = out.x.copy()
-        out.x[:, cols] = 0.0
-        return out
+    def draw(self, graph: Graph, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(graph.x.shape[1]) < self.drop_ratio
+
+    def apply(self, views: ViewArrays, plans: list) -> None:
+        views.zero_features(plans)

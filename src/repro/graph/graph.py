@@ -118,7 +118,8 @@ class Graph:
         # equals numeric order on lo * base + hi for any base > max(hi), so
         # this matches np.unique(..., axis=0) without its slow void-view sort.
         base = int(hi.max()) + 1
-        keys = np.unique(lo * base + hi)
+        keys = np.sort(lo * base + hi)
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
         return np.stack([keys // base, keys % base], axis=1)
 
     @classmethod
@@ -147,16 +148,23 @@ class Graph:
 
     def subgraph(self, nodes: np.ndarray) -> "Graph":
         """Induced subgraph on ``nodes`` (relabelled to 0..k-1)."""
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        new_index = np.full(self.num_nodes, -1, dtype=np.int64)
-        new_index[nodes] = np.arange(len(nodes))
-        if self.edges.size:
-            relabelled = new_index[self.edges]
-            edges = relabelled[(relabelled >= 0).all(axis=1)]
-        else:
-            edges = np.empty((0, 2), dtype=np.int64)
-        node_y = None if self.node_y is None else self.node_y[nodes]
+        keep = np.zeros(self.num_nodes, dtype=bool)
+        keep[np.asarray(nodes, dtype=np.int64)] = True
+        edges, _ = Graph.induced_edges(self.edges, keep)
+        node_y = None if self.node_y is None else self.node_y[keep]
         # Relabelling preserves canonical form (nodes ascending keeps u < v),
         # so the validated fast constructor applies.
-        return Graph._from_parts(len(nodes), edges, self.x[nodes], self.y,
-                                 node_y)
+        return Graph._from_parts(int(keep.sum()), edges, self.x[keep],
+                                 self.y, node_y)
+
+    @staticmethod
+    def induced_edges(edges: np.ndarray,
+                      keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Edges among the ``keep`` nodes, relabelled to ``0..k-1``.
+
+        Survivors keep their relative order, as do the edges.  Returns the
+        relabelled edges and the mask of surviving input edges.
+        """
+        new_index = np.cumsum(keep) - 1
+        surviving = keep[edges[:, 0]] & keep[edges[:, 1]]
+        return new_index[edges[surviving]], surviving

@@ -143,14 +143,12 @@ class MVGRLNode(NodeContrastiveMethod):
         self._cache: dict[int, tuple] = {}
 
     def _operators(self, graph: Graph):
-        cache = active_structure_cache()
-        if cache is not None:
-            return (cache.adjacency(graph, "gcn"),
-                    cache.ppr(graph, alpha=self.alpha))
         key = id(graph)
         if key not in self._cache:
             adj = gcn_normalize(adjacency_matrix(graph))
-            diff = sp.csr_matrix(ppr_diffusion(graph, alpha=self.alpha))
+            cache = active_structure_cache()
+            diff = (cache.ppr(graph, alpha=self.alpha) if cache is not None
+                    else sp.csr_matrix(ppr_diffusion(graph, alpha=self.alpha)))
             self._cache = {key: (adj, diff)}  # cache only the current graph
         return self._cache[key]
 

@@ -172,7 +172,7 @@ def events_of(events: Iterable[dict], event_type: str) -> list[dict]:
 #: number (the evaluation engine is bit-identical at every worker count).
 NONDETERMINISTIC_KEYS = frozenset({
     "ts", "seconds", "total_seconds", "graphs_per_sec", "nodes_per_sec",
-    "workers", "prefetch",
+    "workers", "prefetch", "cache",
     "eval_seconds", "eval_repeat_seconds", "eval_workers", "eval_solver",
 })
 

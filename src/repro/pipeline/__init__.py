@@ -1,16 +1,17 @@
-"""Input pipeline: parallel augmentation workers + structure caches.
+"""Input pipeline: batched and parallel augmentation + diffusion cache.
 
-Three cooperating pieces speed up the data side of training without
+Four cooperating pieces speed up the data side of training without
 changing a single number:
 
 * :mod:`~repro.pipeline.seeding` — per-graph ``SeedSequence``-derived
   PCG64 streams, the determinism backbone;
 * :mod:`~repro.pipeline.workers` — :class:`ViewGenerator`, serial or
-  fork-pool view generation that is bit-identical at every worker count;
+  fork-pool view generation (per-graph draws, chunk-wide batched
+  post-processing) that is bit-identical at every worker count;
 * :mod:`~repro.pipeline.prefetch` — :class:`PrefetchLoader`,
   double-buffering the next batch's views during the optimizer step;
 * :mod:`~repro.pipeline.cache` — :class:`StructureCache`, a bounded LRU
-  over adjacency / diffusion structure reused across epochs.
+  over MVGRL's PPR / heat diffusion reused across epochs.
 
 See ``docs/performance.md`` for the knobs and the determinism contract.
 """

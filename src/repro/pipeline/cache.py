@@ -1,26 +1,30 @@
-"""Persistent structure caches keyed on a cheap graph fingerprint.
+"""Persistent diffusion caches keyed on a cheap graph fingerprint.
 
-CSR adjacency, GCN-normalized adjacency, and PPR/heat diffusion matrices
-are pure functions of a graph's immutable structure (node count + edge
-list), yet the seed-era code rebuilt them per forward / per epoch — for
-MVGRL that meant a dense linear solve per graph per batch per epoch.  A
-:class:`StructureCache` memoizes them across epochs under a bounded LRU,
-with hit/miss/eviction/byte counters in a :class:`repro.obs.MetricRegistry`
-so runs can journal cache effectiveness.
+PPR and heat-kernel diffusion matrices are pure functions of a graph's
+immutable structure (node count + edge list), and each costs a dense
+per-graph solve or matrix power series.  MVGRL used to redo that work per
+batch per epoch; a :class:`StructureCache` memoizes it across epochs under
+a bounded LRU, with hit/miss/eviction/byte counters in a
+:class:`repro.obs.MetricRegistry` so runs can journal cache effectiveness.
+
+Only diffusion is cached, because only diffusion pays for its lookup.
+Adjacency matrices, neighbour lists and edge keys are cheaper to rebuild
+from the edge array than to fingerprint and fetch, and augmented views
+are new structures every step, so :class:`repro.graph.GraphBatch` and the
+augmentations never consult the cache.
 
 Keys are ``(kind, fingerprint, *params)`` where the fingerprint hashes
 ``(num_nodes, edges)`` and is memoized on the graph instance.  Augmented
 views are new objects with new structure, so they fingerprint differently
 and can never alias their source graph.  Code that mutates a graph's
 ``edges`` *in place* must call :meth:`StructureCache.invalidate` (or
-:func:`invalidate_structure`) — that is the explicit invalidation hook the
-structural augmentations use.
+:func:`invalidate_structure`).
 
 ``use_structure_cache`` installs a cache as the process-local default so
-deep call sites (e.g. ``SubgraphSample``'s neighbour-list build) can reuse
-structures without threading a cache argument through every signature.
-Caching never changes results — entries hold exactly what the uncached
-code would recompute — so cache on/off is numerically invisible.
+deep call sites (MVGRL's diffusion operators) can reuse structures
+without threading a cache argument through every signature.  Caching
+never changes results — entries hold exactly what the uncached code would
+recompute — so cache on/off is numerically invisible.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def _entry_nbytes(value) -> int:
 
 
 class StructureCache:
-    """Bounded LRU over per-graph structural operators.
+    """Bounded LRU over per-graph diffusion operators.
 
     Parameters
     ----------
@@ -139,14 +143,6 @@ class StructureCache:
         from ..tensor.dtype import get_default_dtype
 
         return np.dtype(get_default_dtype()).name
-
-    def adjacency(self, graph, normalization: str = "none") -> sp.csr_matrix:
-        """Cached ``adjacency_matrix`` under the given normalization."""
-        from ..graph.adjacency import normalized_adjacency
-
-        return self.get(graph, "adjacency",
-                        (normalization, self._dtype_tag()),
-                        lambda: normalized_adjacency(graph, normalization))
 
     def ppr(self, graph, alpha: float = 0.2,
             k: int | None = None) -> sp.csr_matrix:
@@ -241,9 +237,9 @@ def active_structure_cache() -> StructureCache | None:
 def use_structure_cache(cache: StructureCache | None):
     """Install ``cache`` as the process-local default for the block.
 
-    Deep call sites (augmentation neighbour lists, batch adjacency
-    assembly) consult :func:`active_structure_cache` so they can benefit
-    without signature changes; ``None`` disables caching for the block.
+    Deep call sites (MVGRL's diffusion operators) consult
+    :func:`active_structure_cache` so they can benefit without signature
+    changes; ``None`` disables caching for the block.
     """
     global _ACTIVE
     previous = _ACTIVE

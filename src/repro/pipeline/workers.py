@@ -4,8 +4,12 @@
 Each ``(batch, view, graph)`` gets its own PCG64 stream (see
 :mod:`repro.pipeline.seeding`), so the augmented views are **bit-identical
 at every worker count**: ``workers=0`` runs the exact serial in-process
-path, ``workers=N`` fans per-graph work across a fork-based
+path, ``workers=N`` fans the batch across a fork-based
 ``multiprocessing.Pool`` in chunks, and both consume the same streams.
+Within a chunk, a :class:`~repro.augment.base.BatchedAugmentation` draws
+graph by graph, then post-processes the whole chunk at once as
+:class:`~repro.augment.base.ViewArrays`; the view batches are assembled
+straight from those arrays.
 
 The augmentation objects are pickled into every task, so parent-side
 mutation (JOAO re-weighting its ``RandomChoice`` distribution between
@@ -34,8 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-import numpy as np
-
+from ..augment.base import ViewArrays
 from ..faults import default_pool_recover_s
 from ..faults import inject as _inject
 from ..faults import record as _record_fault
@@ -63,27 +66,23 @@ def _apply_chunk(augmentation, graphs, keys):
     """Augment one chunk of graphs, each under its own stream.
 
     Runs identically in the parent (serial path) and in pool workers.
-    Returns the views plus the last ``RandomChoice.last_choice`` observed,
-    which for the final chunk of a view is the batch's last choice — the
-    value the serial loop would have left behind.
+    Batched augmentations draw graph by graph, in order, then post-process
+    the whole chunk at once; any other callable runs per graph.  Returns
+    the views as :class:`ViewArrays` plus the last
+    ``RandomChoice.last_choice`` observed, which for the final chunk of a
+    view is the batch's last choice — the value the serial loop would have
+    left behind.
     """
     _inject(CHUNK_POINT)
-    views = [augmentation(graph, stream_from_key(key))
-             for graph, key in zip(graphs, keys)]
+    if getattr(augmentation, "batched", False):
+        views = ViewArrays(graphs)
+        augmentation.apply(views, [
+            augmentation.draw(graph, stream_from_key(key))
+            for graph, key in zip(graphs, keys)])
+    else:
+        views = ViewArrays([augmentation(graph, stream_from_key(key))
+                            for graph, key in zip(graphs, keys)])
     return views, getattr(augmentation, "last_choice", None)
-
-
-def _worker_init(cache_entries: int | None) -> None:
-    """Install a per-process structure cache inside each pool worker.
-
-    Worker-side caching only accelerates structure reuse (e.g. subgraph
-    neighbour lists); it never changes what the augmentations produce.
-    """
-    if cache_entries is None:
-        return
-    from . import cache as cache_mod
-
-    cache_mod._ACTIVE = cache_mod.StructureCache(max_entries=cache_entries)
 
 
 class ViewPair:
@@ -155,9 +154,9 @@ class _PendingViews:
     def result(self) -> ViewPair:
         outs = [self._collect(i) for i in range(len(self._handles))]
         split = self._view1_chunks
-        views1 = [v for chunk, _ in outs[:split] for v in chunk]
-        views2 = [v for chunk, _ in outs[split:] for v in chunk]
-        return ViewPair(GraphBatch(views1), GraphBatch(views2),
+        views1 = ViewArrays.concat([chunk for chunk, _ in outs[:split]])
+        views2 = ViewArrays.concat([chunk for chunk, _ in outs[split:]])
+        return ViewPair(views1.to_batch(), views2.to_batch(),
                         outs[split - 1][1], outs[-1][1])
 
 
@@ -220,12 +219,7 @@ class ViewGenerator:
                 # which produces identical views anyway.
                 self.workers = 0
                 return None
-            from .cache import active_structure_cache
-
-            cache = active_structure_cache()
-            entries = cache.max_entries if cache is not None else None
-            self._pool = ctx.Pool(self.workers, initializer=_worker_init,
-                                  initargs=(entries,))
+            self._pool = ctx.Pool(self.workers)
         return self._pool
 
     def shutdown(self) -> None:
@@ -267,8 +261,8 @@ class ViewGenerator:
         if pool is None:
             views1, choice1 = _apply_chunk(self.augmentation, graphs, keys1)
             views2, choice2 = _apply_chunk(self.augmentation2, graphs, keys2)
-            return _ReadyViews(ViewPair(GraphBatch(views1),
-                                        GraphBatch(views2), choice1, choice2))
+            return _ReadyViews(ViewPair(views1.to_batch(), views2.to_batch(),
+                                        choice1, choice2))
         tasks = []
         for aug, keys in ((self.augmentation, keys1),
                           (self.augmentation2, keys2)):

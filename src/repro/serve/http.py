@@ -82,6 +82,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Replies leave in two writes (headers, then body).  With Nagle on, a
+    # keep-alive client's delayed ACK holds the second write back ~40 ms.
+    disable_nagle_algorithm = True
 
     # BaseHTTPRequestHandler logs every request to stderr; serving should
     # account through the metric registry instead of a text log.

@@ -203,3 +203,57 @@ class TestDeadlineTimeout:
             server.shutdown()
             server.server_close()
             service.close()
+
+
+class TestKeepAliveLatency:
+    def test_nodelay_and_round_trip_on_keep_alive(self, monkeypatch):
+        """Regression: replies go out as two writes (headers, body); with
+        Nagle on, a keep-alive client's delayed ACK stalled every reply
+        by ~40 ms.  The server socket must set TCP_NODELAY, and 30
+        keep-alive ``/embed`` round trips must have a median under 20 ms."""
+        import socket
+        import statistics
+        import time
+        from http.client import HTTPConnection
+
+        from repro.serve.http import _Handler
+
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        with autocast("float32"):
+            method = GraphCL(4, hidden_dim=8, num_layers=2,
+                             rng=np.random.default_rng(0))
+        service = EmbeddingService(FrozenEncoder(method, num_features=4),
+                                   max_wait_ms=0.5)
+        server = make_server(service, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        body = json.dumps({"graphs": [payload_from_graph(g)
+                                      for g in make_graphs(2, seed=31)]})
+        connection = HTTPConnection(host, port, timeout=30)
+        rounds = []
+        try:
+            for _ in range(31):
+                start = time.perf_counter()
+                connection.request("POST", "/embed", body=body, headers={
+                    "Content-Type": "application/json"})
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                rounds.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            service.close()
+        assert nodelay and all(nodelay)
+        assert len(nodelay) == 1  # one keep-alive connection served it all
+        # The first request pays the connect and any plan capture.
+        assert statistics.median(rounds[1:]) < 0.020
