@@ -1,4 +1,4 @@
-"""Serving benchmarks: micro-batched throughput and captured-plan replay.
+"""Serving benchmarks: micro-batched throughput.
 
 Models the serving tradeoffs directly.  The baseline is what a naive server
 does — one block-diagonal forward per request, requests handled strictly in
@@ -9,16 +9,8 @@ wins by amortizing per-forward overhead — python dispatch, sparse adjacency
 assembly, BatchNorm bookkeeping — across coalesced requests, which is why
 the speedup holds even on a single core.
 
-A second comparison isolates the captured-plan executor
-(:mod:`repro.tensor.plan`): the same steady-state single-graph request
-stream through a plan-enabled encoder (shape buckets repeat, so after the
-first lap every request replays a flat program with a preallocated arena)
-vs a ``plan_cache=0`` encoder that rebuilds the eager autograd graph every
-time.
-
-All paths are asserted to return bit-identical rows per request (the
-serve==offline determinism contract, and the plan executor's replay==eager
-contract); the booleans go into the payload so
+Both paths are asserted to return bit-identical rows per request (the
+serve==offline determinism contract); the boolean goes into the payload so
 ``scripts/check_perf.py --strict`` fails if a regeneration ever observes a
 mismatch.
 
@@ -28,10 +20,7 @@ same minimum-noise estimator ``bench_eval``/``bench_pipeline`` use.
 Parallel caveat: client threads only overlap on real cores.  ``cpu_count``
 is recorded and, when it is 1, a ``parallel_note`` explains that the
 batched speedup measures batching amortization rather than concurrency —
-``scripts/check_perf.py`` conditions its >=2x batched floor and >=1.3x
-plan-replay floor on it.  (Plan replay itself is single-threaded either
-way; the floor is conditioned only because single-core boxes are too
-contended for a stable wall-clock gate.)
+``scripts/check_perf.py`` conditions its >=2x batched floor on it.
 
 Run as a script to (re)generate ``BENCH_serve.json`` at the repo root::
 
@@ -65,9 +54,7 @@ PROTOCOL = {
              "frozen float32 inference",
     "load": f"{REQUESTS} single-graph requests; sequential baseline vs "
             f"{CLIENT_THREADS} client threads through the micro-batcher "
-            "(cache disabled so every request pays a forward); plus the "
-            "same stream through a plan-enabled encoder vs a plan_cache=0 "
-            "eager encoder over the identical frozen weights",
+            "(cache disabled so every request pays a forward)",
     "statistic": f"best wall-clock of {TIMING_LAPS} full sweeps",
 }
 
@@ -106,43 +93,6 @@ def run_sequential(encoder: FrozenEncoder, graphs: list,
     return best, rows
 
 
-def run_plan_replay(encoder: FrozenEncoder, graphs: list,
-                    laps: int = TIMING_LAPS) -> tuple[dict, bool]:
-    """Plan-enabled vs forced-eager encoder on the single-graph stream.
-
-    ``encoder`` is the default (plan-enabled) frozen encoder; the eager
-    reference wraps the *same* method with ``plan_cache=0`` so the only
-    difference is dispatch.  The first plan lap pays capture + the
-    verify-first eager recompute; best-of-laps reports steady state.
-    """
-    requests = _request_graphs(graphs)
-    eager = FrozenEncoder(encoder.method, dtype="float32",
-                          num_features=encoder.num_features, plan_cache=0)
-    eager_s, eager_rows = float("inf"), None
-    for _ in range(laps):
-        started = time.perf_counter()
-        eager_rows = [eager.embed([graph])[0] for graph in requests]
-        eager_s = min(eager_s, time.perf_counter() - started)
-    plan_s, plan_rows = float("inf"), None
-    for _ in range(laps):
-        started = time.perf_counter()
-        plan_rows = [encoder.embed([graph])[0] for graph in requests]
-        plan_s = min(plan_s, time.perf_counter() - started)
-    identical = all(np.array_equal(a, b)
-                    for a, b in zip(plan_rows, eager_rows))
-    metrics = encoder.plan_metrics()
-    section = {
-        "eager_best_seconds": eager_s,
-        "plan_best_seconds": plan_s,
-        "requests_per_sec": REQUESTS / plan_s,
-        "speedup_vs_eager": eager_s / plan_s,
-        "replays": metrics.get("plan.replays", 0),
-        "verify_failures": metrics.get("plan.verify_failures", 0),
-        "fallbacks": metrics.get("plan.fallbacks", 0),
-    }
-    return section, identical
-
-
 def run_batched(encoder: FrozenEncoder, graphs: list,
                 laps: int = TIMING_LAPS) -> tuple[float, list, dict]:
     """The real service under concurrent client threads."""
@@ -163,7 +113,6 @@ def main(laps: int = TIMING_LAPS) -> dict:
     encoder, graphs = make_encoder()
     seq_s, seq_rows = run_sequential(encoder, graphs, laps)
     bat_s, bat_rows, metrics = run_batched(encoder, graphs, laps)
-    plan, plan_identical = run_plan_replay(encoder, graphs, laps)
     identical = all(np.array_equal(a, b)
                     for a, b in zip(seq_rows, bat_rows))
     payload = {
@@ -179,18 +128,15 @@ def main(laps: int = TIMING_LAPS) -> dict:
                         metrics.get("serve.requests_per_batch", 0.0),
                     "coalesce_rate":
                         metrics.get("serve.batch_coalesce_rate", 0.0)},
-        "plan_replay": plan,
-        "equivalence": {"batched_vs_sequential": bool(identical),
-                        "plan_vs_eager": bool(plan_identical)},
+        "equivalence": {"batched_vs_sequential": bool(identical)},
     }
     if payload["cpu_count"] == 1:
         payload["parallel_note"] = (
             "single-core box: client threads cannot overlap, so the "
             "batched speedup measures coalescing amortization only; "
-            "scripts/check_perf.py applies its >=2x batched floor and "
-            ">=1.3x plan-replay floor on multi-core boxes and gates on "
-            "equivalence, nonzero coalescing, and nonzero plan replays "
-            "here")
+            "scripts/check_perf.py applies its >=2x batched floor on "
+            "multi-core boxes and gates on equivalence and nonzero "
+            "coalescing here")
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"sequential  best={seq_s:.4f}s "
           f"({payload['sequential']['requests_per_sec']:.1f} req/s)")
@@ -198,17 +144,13 @@ def main(laps: int = TIMING_LAPS) -> dict:
           f"({payload['batched']['requests_per_sec']:.1f} req/s) "
           f"speedup={seq_s / bat_s:.2f}x "
           f"coalesce_rate={payload['batched']['coalesce_rate']:.2f}")
-    print(f"plan replay eager={plan['eager_best_seconds']:.4f}s "
-          f"plan={plan['plan_best_seconds']:.4f}s "
-          f"speedup={plan['speedup_vs_eager']:.2f}x "
-          f"replays={plan['replays']}")
     print(f"equivalence: {payload['equivalence']}")
     print(f"wrote {RESULT_PATH} (cpu_count={payload['cpu_count']})")
     return payload
 
 
 def test_serve_bench(benchmark):
-    """pytest-benchmark hook: one-lap batched + plan-replay equivalence."""
+    """pytest-benchmark hook: one-lap batched equivalence."""
     from .common import run_once
 
     encoder, graphs = make_encoder()
@@ -216,9 +158,8 @@ def test_serve_bench(benchmark):
     def quick():
         seq_s, seq_rows = run_sequential(encoder, graphs, laps=1)
         bat_s, bat_rows, _ = run_batched(encoder, graphs, laps=1)
-        _, plan_identical = run_plan_replay(encoder, graphs, laps=1)
-        return plan_identical and all(np.array_equal(a, b)
-                                      for a, b in zip(seq_rows, bat_rows))
+        return all(np.array_equal(a, b)
+                   for a, b in zip(seq_rows, bat_rows))
 
     assert run_once(benchmark, quick)
 

@@ -4,11 +4,9 @@ Two jobs:
 
 * **Microbenchmarks** — each fused kernel against its primitive reference
   composition (forward + backward), plus the sorted-segment ``reduceat``
-  and basic-index ``__getitem__`` fast paths and the captured-plan replay
-  of a full eval-mode encoder forward (:mod:`repro.tensor.plan`) against
-  the eager rebuild.  Before timing anything the compared paths are
-  asserted numerically equivalent, so a speedup can never come from
-  silently computing something else.
+  and basic-index ``__getitem__`` fast paths.  Before timing anything the
+  compared paths are asserted numerically equivalent, so a speedup can
+  never come from silently computing something else.
 * **End-to-end step bench** — one GradGCL-wrapped GraphCL and SimGRACE
   smoke-training run (PROTEINS small scale, fixed seeds) under the
   advertised training configuration (float32 + fused kernels), compared
@@ -192,49 +190,12 @@ def bench_getitem_slice(n: int = 4096, d: int = 64) -> dict:
     }
 
 
-def bench_plan_replay(num_graphs: int = 32) -> dict:
-    """Captured-plan replay vs rebuilding the eager graph every forward.
-
-    The workload is the serving hot path: one eval-mode GraphCL
-    ``graph_embeddings`` forward over a fixed MUTAG chunk.  The "fused"
-    column replays the flat program captured on the first call (arena
-    writes, no Tensor wrappers); the reference rebuilds the eager autograd
-    graph under ``no_grad`` like pre-plan serving did.
-    """
-    from repro.graph import GraphBatch
-    from repro.tensor import PlanCache, no_grad
-
-    with autocast("float32"):
-        dataset = load_tu_dataset("MUTAG", scale="small", seed=0)
-        method = GraphCL(dataset.num_features, hidden_dim=32, num_layers=3,
-                         rng=np.random.default_rng(5)).eval()
-        batch = GraphBatch(list(dataset.graphs[:num_graphs]))
-        cache = PlanCache(4)
-
-        def run_eager():
-            with no_grad():
-                return method.graph_embeddings(batch).data
-
-        def run_replay():
-            with no_grad():
-                return cache.run(method, method.graph_embeddings, batch)
-
-        # Warms the cache (capture + verify-first replay) and asserts the
-        # replay==eager contract before timing anything.
-        _assert_close(run_replay(), run_eager(), "plan replay forward")
-        return {
-            "reference_p50": time_callable(run_eager),
-            "fused_p50": time_callable(run_replay),
-        }
-
-
 MICROBENCHES = {
     "info_nce": bench_info_nce,
     "gradient_features": bench_gradient_features,
     "linear_relu": bench_linear_relu,
     "segment_sum_sorted": bench_segment_sum,
     "getitem_slice": bench_getitem_slice,
-    "plan_replay_forward": bench_plan_replay,
 }
 
 

@@ -278,10 +278,6 @@ def _add_inference_arguments(sub: argparse.ArgumentParser) -> None:
                      default="float32",
                      help="inference dtype (float32 serves ~2x faster; "
                           "float64 reproduces training-precision numbers)")
-    sub.add_argument("--plan-cache", type=int, default=None,
-                     help="captured-plan cache capacity per encoder "
-                          "(0 disables plan replay; default: "
-                          "REPRO_PLAN_CACHE or 32)")
 
 
 def _add_cache_arguments(sub: argparse.ArgumentParser) -> None:
@@ -515,8 +511,7 @@ def _cmd_serve(args) -> int:
         make_server,
     )
 
-    encoder = FrozenEncoder.from_checkpoint(args.run_dir, dtype=args.dtype,
-                                            plan_cache=args.plan_cache)
+    encoder = FrozenEncoder.from_checkpoint(args.run_dir, dtype=args.dtype)
     service = EmbeddingService(encoder,
                                max_batch_size=args.max_batch_size,
                                max_wait_ms=args.max_wait_ms,
@@ -582,8 +577,7 @@ def _cmd_embed(args) -> int:
 
     summary = embed_dataset(args.run_dir, args.out, dataset=args.dataset,
                             scale=args.scale, seed=args.seed,
-                            batch_size=args.batch_size, dtype=args.dtype,
-                            plan_cache=args.plan_cache)
+                            batch_size=args.batch_size, dtype=args.dtype)
     print(f"embedded {summary['num_graphs']} {summary['dataset']} graphs "
           f"({summary['scale']}, seed {summary['seed']}) into "
           f"{summary['dim']}-d {summary['dtype']} rows -> {summary['out']} "

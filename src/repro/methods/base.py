@@ -66,19 +66,15 @@ class GraphContrastiveMethod(Module):
     def embed(self, graphs: Sequence[Graph], batch_size: int = 128) -> np.ndarray:
         """Embed graphs in eval mode with no autograd graph.
 
-        Repeated-shape chunks (every full chunk of a bulk embed, and the
-        probe-evaluation cadence) replay the method's captured plan instead
-        of rebuilding the eager graph; see :mod:`repro.tensor.plan`.
+        Each chunk is one eager block-diagonal forward under ``no_grad``,
+        the same forward :class:`repro.serve.FrozenEncoder` serves.
         """
-        from ..tensor import plan_cache_for
-
         self.eval()
-        cache = plan_cache_for(self)
         chunks = []
         with trace("embed"), no_grad():
             for start in range(0, len(graphs), batch_size):
                 batch = GraphBatch(list(graphs[start:start + batch_size]))
-                chunks.append(cache.run(self, self.graph_embeddings, batch))
+                chunks.append(self.graph_embeddings(batch).data)
         self.train()
         return np.concatenate(chunks, axis=0)
 

@@ -70,9 +70,6 @@ class BatchNorm1d(Module):
         if self.training:
             mean = x.mean(axis=0, keepdims=True)
             var = x.var(axis=0, keepdims=True)
-            # In place (not reassignment): captured eval-mode plans hold
-            # views of these buffers, and serving/probe replays must see
-            # the stats move without re-capturing.
             self.running_mean *= 1 - self.momentum
             self.running_mean += self.momentum * mean.data.ravel()
             self.running_var *= 1 - self.momentum

@@ -27,8 +27,7 @@ def embed_dataset(run_dir: str | Path, out: str | Path, *,
                   dataset: str | None = None, scale: str | None = None,
                   seed: int | None = None,
                   batch_size: int = DEFAULT_BATCH_SIZE,
-                  dtype: str = "float32",
-                  plan_cache: int | None = None) -> dict:
+                  dtype: str = "float32") -> dict:
     """Embed ``dataset`` with the checkpoint in ``run_dir``; write ``out``.
 
     ``dataset``/``scale``/``seed`` default to the values the checkpoint
@@ -37,8 +36,7 @@ def embed_dataset(run_dir: str | Path, out: str | Path, *,
     """
     from ..datasets import load_tu_dataset
 
-    encoder = FrozenEncoder.from_checkpoint(run_dir, dtype=dtype,
-                                            plan_cache=plan_cache)
+    encoder = FrozenEncoder.from_checkpoint(run_dir, dtype=dtype)
     config = encoder.config
     dataset = dataset if dataset is not None else config.dataset
     scale = scale if scale is not None else config.scale

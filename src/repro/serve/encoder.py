@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ..graph import Graph, GraphBatch
-from ..tensor import PlanCache, autocast, no_grad
+from ..tensor import autocast, no_grad
 
 __all__ = ["FrozenEncoder", "CheckpointMismatch"]
 
@@ -63,8 +63,7 @@ class FrozenEncoder:
 
     def __init__(self, method, *, dtype: str = "float32",
                  config=None, config_hash: str | None = None,
-                 num_features: int | None = None,
-                 plan_cache: int | None = None):
+                 num_features: int | None = None):
         from ..tensor.dtype import _validate
 
         self._dtype = np.dtype(_validate(dtype)).name
@@ -75,9 +74,6 @@ class FrozenEncoder:
         self.config = config
         self.config_hash = config_hash
         self._embedding_dim: int | None = None
-        # Shape-bucketed replay plans for steady-state /embed traffic;
-        # capacity None follows REPRO_PLAN_CACHE (default 32), 0 disables.
-        self._plan_cache = PlanCache(plan_cache)
         # Forwards mutate no state, but the tensor engine's dtype policy is
         # process-global; serialize forwards so concurrent callers (the
         # micro-batcher is single-threaded, but tests call embed directly)
@@ -89,8 +85,7 @@ class FrozenEncoder:
     # ------------------------------------------------------------------
     @classmethod
     def from_checkpoint(cls, run_dir: str | Path, *,
-                        dtype: str = "float32",
-                        plan_cache: int | None = None) -> "FrozenEncoder":
+                        dtype: str = "float32") -> "FrozenEncoder":
         """Load a frozen encoder from a PR-4 run directory.
 
         The directory must hold ``config.json`` plus the
@@ -149,7 +144,7 @@ class FrozenEncoder:
             if buffers:
                 method.load_buffers_dict(buffers)
         return cls(method, dtype=dtype, config=config, config_hash=expected,
-                   num_features=int(num_features), plan_cache=plan_cache)
+                   num_features=int(num_features))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -233,13 +228,8 @@ class FrozenEncoder:
         with self._forward_lock, autocast(self._dtype), no_grad():
             for start in range(0, len(graphs), batch_size):
                 batch = GraphBatch(list(graphs[start:start + batch_size]))
-                chunks.append(self._plan_cache.run(
-                    self.method, self.method.graph_embeddings, batch))
+                chunks.append(self.method.graph_embeddings(batch).data)
         out = np.concatenate(chunks, axis=0)
         if self._embedding_dim is None:
             self._embedding_dim = int(out.shape[1])
         return out
-
-    def plan_metrics(self) -> dict:
-        """``plan.*`` capture/replay counters for the serve journal."""
-        return self._plan_cache.metrics()

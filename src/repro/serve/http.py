@@ -51,8 +51,10 @@ def graph_from_payload(payload: dict) -> Graph:
     """Build a :class:`Graph` from one ``/embed`` request entry.
 
     Validation errors raise ``ValueError`` (mapped to HTTP 400): the
-    payload must carry ``num_nodes``, ``edges``, and a feature matrix
-    ``x`` with one row per node.
+    payload must carry ``num_nodes``, ``edges``, and a finite feature
+    matrix ``x`` with one row per node.  ``json.loads`` accepts ``NaN``,
+    ``Infinity`` and overflowing literals such as ``1e999``; those would
+    embed to non-finite rows, so they are rejected here.
     """
     if not isinstance(payload, dict):
         raise ValueError("each graph must be a JSON object")
@@ -67,6 +69,9 @@ def graph_from_payload(payload: dict) -> Graph:
         raise ValueError(f"malformed graph payload: {exc}") from exc
     if x.ndim != 2:
         raise ValueError(f"x must be a 2-d feature matrix, got {x.ndim}-d")
+    if not np.isfinite(x).all():
+        raise ValueError("x must hold only finite numbers "
+                         "(NaN and infinities are rejected)")
     return Graph(num_nodes, edges, x)
 
 

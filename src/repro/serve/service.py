@@ -17,9 +17,7 @@ serving benchmark).  A request flows:
 Every stage records into one :class:`repro.obs.MetricRegistry`
 (``serve.requests`` / ``serve.graphs`` / ``serve.latency_seconds`` /
 ``serve.batches`` / ``serve.coalesced_requests`` / ``serve.shed`` /
-``serve.cache.*``), the snapshot additionally carries the encoder's
-``plan.*`` capture/replay counters, and
-:meth:`EmbeddingService.log_metrics` journals the
+``serve.cache.*``), and :meth:`EmbeddingService.log_metrics` journals the
 snapshot as a standard ``metrics`` event so ``repro report`` can render a
 serving session like any training run.
 """
@@ -147,7 +145,6 @@ class EmbeddingService:
             requests / batches if batches else 0.0)
         snapshot["serve.uptime_seconds"] = round(
             time.time() - self._started, 3)
-        snapshot.update(self.encoder.plan_metrics())
         # Cross-subsystem fault tally: the process-wide counters win over
         # the registry mirrors (they also count pipeline/training faults).
         snapshot.update(_fault_counters())

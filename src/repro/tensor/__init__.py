@@ -35,10 +35,8 @@ from .registry import (
     op_impl,
     op_names,
     register_op,
-    set_fused,
     use_fused,
 )
-from .plan import Plan, PlanCache, PlanCaptureError, capture, plan_cache_for
 
 __all__ = [
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
@@ -50,6 +48,5 @@ __all__ = [
     "fused_info_nce", "fused_gradient_features", "fused_linear",
     "fused_l2_normalize", "fused_segment_mean",
     "OpEntry", "register_op", "get_op", "op_names", "call", "op_impl",
-    "fused_kernels", "set_fused", "use_fused",
-    "Plan", "PlanCache", "PlanCaptureError", "capture", "plan_cache_for",
+    "fused_kernels", "use_fused",
 ]

@@ -12,8 +12,9 @@ backward pass, no interior bookkeeping.
 
 Every kernel has an unfused reference composition elsewhere in the library
 (``repro.losses.infonce``, ``repro.core.gradient_features``,
-``repro.nn.layers``); the ``set_fused`` switch (or ``REPRO_FUSED=0`` in the
-environment) selects the reference path globally, and
+``repro.nn.layers``); dispatch between the two lives in
+:mod:`repro.tensor.registry` (``REPRO_FUSED=0`` in the environment selects
+the reference path globally), and
 ``benchmarks/bench_tensor_ops.py`` asserts fused == reference before timing
 so speedups cannot silently change numerics.
 """
@@ -22,45 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _matmul, as_tensor
 
 __all__ = [
-    "use_fused", "set_fused", "fused_kernels",
     "fused_l2_normalize", "fused_linear", "fused_info_nce",
     "fused_gradient_features", "fused_segment_mean",
 ]
-
-
-# Dispatch policy lives in repro.tensor.registry now; these shims survive so
-# historical imports (`from repro.tensor.fused import set_fused`) keep
-# working.  The imports are lazy because registry imports this module for the
-# fused implementations it registers.
-
-def use_fused() -> bool:
-    """Whether dispatch currently resolves to the fused kernels.
-
-    Deprecated alias for :func:`repro.tensor.registry.use_fused`.
-    """
-    from . import registry
-    return registry.use_fused()
-
-
-def set_fused(enabled: bool) -> bool:
-    """Toggle fused-kernel dispatch process-wide; returns the previous value.
-
-    Deprecated alias for :func:`repro.tensor.registry.set_fused`.
-    """
-    from . import registry
-    return registry.set_fused(enabled)
-
-
-def fused_kernels(enabled: bool):
-    """Context manager scoping the fused switch (used by tests/benches).
-
-    Deprecated alias for :func:`repro.tensor.registry.fused_kernels`.
-    """
-    from . import registry
-    return registry.fused_kernels(enabled)
 
 
 def _normalize_fwd(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +52,10 @@ def fused_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:
     x = as_tensor(x)
     unit, norms = _normalize_fwd(x.data, eps)
 
-    def forward(a, out=None):
-        n = np.sqrt((a * a).sum(axis=-1, keepdims=True) + eps)
-        return np.divide(a, n, out=out)
-
     def backward(grad):
         return (_normalize_bwd(grad, unit, norms),)
 
-    return Tensor._make(unit, (x,), backward,
-                        op="l2_normalize", forward=forward)
+    return Tensor._make(unit, (x,), backward)
 
 
 def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -107,7 +70,7 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 2:
         raise ValueError(f"fused_linear expects 2-D input, got {x.shape}")
-    out_data = x.data @ weight.data
+    out_data = _matmul(x.data, weight.data)
     if bias is not None:
         out_data += bias.data
     mask = None
@@ -115,14 +78,6 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         mask = out_data > 0
         out_data = out_data * mask
     parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def forward(a, w, *rest, out=None):
-        res = np.matmul(a, w, out=out)
-        if rest:
-            res += rest[0]
-        if activation == "relu":
-            np.multiply(res, res > 0, out=res)
-        return res
 
     def backward(grad):
         if mask is not None:
@@ -133,8 +88,7 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             return (grad_x, grad_w)
         return (grad_x, grad_w, grad.sum(axis=0))
 
-    return Tensor._make(out_data, parents, backward,
-                        op="linear", forward=forward)
+    return Tensor._make(out_data, parents, backward)
 
 
 def _similarity_fwd(u: np.ndarray, v: np.ndarray, tau: float,
@@ -219,10 +173,8 @@ def fused_info_nce(u: Tensor, v: Tensor, tau: float = 0.5, sim: str = "cos",
         grad_logits = grad_logits * scale
         return _similarity_bwd(grad_logits, u.data, v.data, tau, sim, cache)
 
-    # No replay closure: the loss never sits on a grad-free serving path, so
-    # capturing it would only grow plans that are discarded anyway.
     return Tensor._make(np.asarray(loss, dtype=u.data.dtype),
-                        (u, v), backward, op="info_nce")
+                        (u, v), backward)
 
 
 def fused_gradient_features(anchor: Tensor, candidates: Tensor,
@@ -246,15 +198,6 @@ def fused_gradient_features(anchor: Tensor, candidates: Tensor,
     p /= p.sum(axis=1, keepdims=True)
     out_data = p @ c - c
 
-    def forward(a2, c2, out=None):
-        lg = (a2 @ c2.T) / tau
-        lg -= lg.max(axis=1, keepdims=True)
-        probs = np.exp(lg)
-        probs /= probs.sum(axis=1, keepdims=True)
-        res = np.matmul(probs, c2, out=out)
-        np.subtract(res, c2, out=res)
-        return res
-
     def backward(grad):
         grad_p = grad @ c.T
         # Row-wise softmax Jacobian: dS = P * (dP - <dP, P>).
@@ -264,8 +207,7 @@ def fused_gradient_features(anchor: Tensor, candidates: Tensor,
         grad_cand = p.T @ grad - grad + (grad_logits.T @ a) / tau
         return (grad_anchor, grad_cand)
 
-    return Tensor._make(out_data, (anchor, candidates), backward,
-                        op="gradient_features", forward=forward)
+    return Tensor._make(out_data, (anchor, candidates), backward)
 
 
 def fused_segment_mean(values: Tensor, segment_ids: np.ndarray,
@@ -275,42 +217,18 @@ def fused_segment_mean(values: Tensor, segment_ids: np.ndarray,
     Equivalent to :func:`repro.tensor.segment_mean` (which composes
     segment_sum and a division node).
     """
-    from .ops import _sorted_segment_bounds
+    from .ops import _segment_sum_kernel
 
     values = as_tensor(values)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    dtype = values.data.dtype
-    out_shape = (num_segments,) + values.shape[1:]
-    out_data = np.zeros(out_shape, dtype=dtype)
     counts = np.bincount(segment_ids, minlength=num_segments)
-    inv = (1.0 / np.maximum(counts, 1)).astype(dtype)
-    if segment_ids.size:
-        if np.all(segment_ids[1:] >= segment_ids[:-1]):
-            starts, nonempty = _sorted_segment_bounds(segment_ids,
-                                                      num_segments)
-            out_data[nonempty] = np.add.reduceat(values.data,
-                                                 starts[nonempty], axis=0)
-        else:
-            np.add.at(out_data, segment_ids, values.data)
+    inv = (1.0 / np.maximum(counts, 1)).astype(values.data.dtype)
+    out_data = _segment_sum_kernel(values.data, segment_ids, num_segments)
     out_data *= inv.reshape((num_segments,) + (1,) * (values.ndim - 1))
-
-    def forward(v, ids, out=None):
-        from .ops import _segment_sum_kernel
-
-        res = _segment_sum_kernel(v, ids, num_segments)
-        cnt = np.bincount(ids, minlength=num_segments)
-        scale = (1.0 / np.maximum(cnt, 1)).astype(v.dtype)
-        res *= scale.reshape((num_segments,) + (1,) * (v.ndim - 1))
-        if out is not None:
-            out[...] = res
-            return out
-        return res
 
     def backward(grad):
         scaled = grad * inv.reshape((num_segments,)
                                     + (1,) * (grad.ndim - 1))
         return (scaled[segment_ids],)
 
-    return Tensor._make(out_data, (values,), backward,
-                        op="segment_mean", forward=forward,
-                        extras=(segment_ids,))
+    return Tensor._make(out_data, (values,), backward)

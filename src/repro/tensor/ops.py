@@ -48,9 +48,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def forward(*arrays, out=None):
-        return np.concatenate(arrays, axis=axis, out=out)
-
     def backward(grad):
         slicer = [slice(None)] * grad.ndim
         pieces = []
@@ -59,8 +56,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             pieces.append(grad[tuple(slicer)])
         return tuple(pieces)
 
-    return Tensor._make(out_data, tensors, backward,
-                        op="concat", forward=forward)
+    return Tensor._make(out_data, tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -68,14 +64,10 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
 
-    def forward(*arrays, out=None):
-        return np.stack(arrays, axis=axis)
-
     def backward(grad):
         return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
 
-    return Tensor._make(out_data, tensors, backward,
-                        op="stack", forward=forward)
+    return Tensor._make(out_data, tensors, backward)
 
 
 def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
@@ -95,21 +87,12 @@ def spmm(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     def backward(grad):
         return (csr.T @ grad,)
 
-    return Tensor._make(out_data, (dense,), backward,
-                        op="spmm", forward=_spmm_forward, extras=(matrix,))
-
-
-def _spmm_forward(x: np.ndarray, matrix, out=None) -> np.ndarray:
-    """Replay kernel for :func:`spmm`: same tocsr/astype/matmul as eager."""
-    csr = matrix.tocsr()
-    if csr.dtype != x.dtype:
-        csr = csr.astype(x.dtype)
-    return csr @ x
+    return Tensor._make(out_data, (dense,), backward)
 
 
 def _segment_sum_kernel(values: np.ndarray, segment_ids: np.ndarray,
                         num_segments: int) -> np.ndarray:
-    """Sum-readout forward shared by the eager op and plan replay."""
+    """Sum-readout forward shared by ``segment_sum``/``segment_mean``."""
     out_data = np.zeros((num_segments,) + values.shape[1:],
                         dtype=values.dtype)
     if segment_ids.size:
@@ -125,14 +108,6 @@ def _segment_sum_kernel(values: np.ndarray, segment_ids: np.ndarray,
         else:
             np.add.at(out_data, segment_ids, values)
     return out_data
-
-
-def _segment_mean_counts(segment_ids: np.ndarray, num_segments: int,
-                         dtype, ndim: int) -> np.ndarray:
-    """Per-segment divisor (clipped at 1) broadcast against the values."""
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(dtype)
-    return np.maximum(counts, 1.0).reshape(
-        (num_segments,) + (1,) * (ndim - 1))
 
 
 def _sorted_segment_bounds(segment_ids: np.ndarray,
@@ -155,15 +130,10 @@ def segment_sum(values: Tensor, segment_ids: np.ndarray,
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     out_data = _segment_sum_kernel(values.data, segment_ids, num_segments)
 
-    def forward(v, ids, out=None):
-        return _segment_sum_kernel(v, ids, num_segments)
-
     def backward(grad):
         return (grad[segment_ids],)
 
-    return Tensor._make(out_data, (values,), backward,
-                        op="segment_sum", forward=forward,
-                        extras=(segment_ids,))
+    return Tensor._make(out_data, (values,), backward)
 
 
 def segment_mean(values: Tensor, segment_ids: np.ndarray,
@@ -172,28 +142,21 @@ def segment_mean(values: Tensor, segment_ids: np.ndarray,
 
     A single graph node computing exactly what the historical
     ``segment_sum(...) / counts`` composition computed (same kernel, same
-    division, same gradient values) — collapsed so the op is expressible as
-    one replayable plan step whose only per-request operand is
-    ``segment_ids``.
+    division, same gradient values).
     """
     values = as_tensor(values)
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    counts = _segment_mean_counts(segment_ids, num_segments,
-                                  values.data.dtype, values.ndim)
+    counts = np.bincount(segment_ids, minlength=num_segments).astype(
+        values.data.dtype)
+    counts = np.maximum(counts, 1.0).reshape(
+        (num_segments,) + (1,) * (values.ndim - 1))
     out_data = _segment_sum_kernel(values.data, segment_ids,
                                    num_segments) / counts
-
-    def forward(v, ids, out=None):
-        divisor = _segment_mean_counts(ids, num_segments, v.dtype, v.ndim)
-        summed = _segment_sum_kernel(v, ids, num_segments)
-        return np.divide(summed, divisor, out=out)
 
     def backward(grad):
         return ((grad / counts)[segment_ids],)
 
-    return Tensor._make(out_data, (values,), backward,
-                        op="segment_mean", forward=forward,
-                        extras=(segment_ids,))
+    return Tensor._make(out_data, (values,), backward)
 
 
 def segment_max(values: Tensor, segment_ids: np.ndarray,
@@ -213,18 +176,10 @@ def segment_max(values: Tensor, segment_ids: np.ndarray,
     np.add.at(tie_counts, segment_ids, attains.astype(dtype))
     tie_counts = np.maximum(tie_counts, 1.0)
 
-    def forward(v, ids, out=None):
-        pooled = np.full((num_segments,) + v.shape[1:], -np.inf, dtype=v.dtype)
-        np.maximum.at(pooled, ids, v)
-        pooled[np.isneginf(pooled)] = 0.0
-        return pooled
-
     def backward(grad):
         return (grad[segment_ids] * attains / tie_counts[segment_ids],)
 
-    return Tensor._make(out_data, (values,), backward,
-                        op="segment_max", forward=forward,
-                        extras=(segment_ids,))
+    return Tensor._make(out_data, (values,), backward)
 
 
 def gather_rows(values: Tensor, indices: np.ndarray) -> Tensor:
@@ -240,7 +195,7 @@ def gather_rows(values: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(full, indices, grad)
         return (full,)
 
-    return Tensor._make(out_data, (values,), backward, op="gather_rows")
+    return Tensor._make(out_data, (values,), backward)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -307,7 +262,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         return (np.where(condition, grad, zero) * np.ones_like(a.data),
                 np.where(condition, zero, grad) * np.ones_like(b.data))
 
-    return Tensor._make(out_data, (a, b), backward, op="where")
+    return Tensor._make(out_data, (a, b), backward)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float,

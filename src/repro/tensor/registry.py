@@ -11,10 +11,9 @@ owns the whole dispatch policy:
 3. the context-local switch scoped by :func:`fused_kernels`
    (a :class:`contextvars.ContextVar`, so serve's worker threads and
    concurrent tests cannot race each other's toggles);
-4. the process-wide value last set by :func:`set_fused`;
-5. the ``REPRO_FUSED`` environment variable, read lazily on every resolve
+4. the ``REPRO_FUSED`` environment variable, read lazily on every resolve
    (changing it after import behaves the same as before import);
-6. fused by default.
+5. fused by default.
 
 Ops whose entry has no fused implementation always run the reference.
 :func:`call` also feeds ``repro.obs`` engine counters with per-op dispatch
@@ -44,7 +43,7 @@ from .tensor import Tensor
 
 __all__ = [
     "OpEntry", "register_op", "get_op", "op_names", "call",
-    "use_fused", "set_fused", "fused_kernels", "op_impl",
+    "use_fused", "fused_kernels", "op_impl",
 ]
 
 _IMPLS = ("reference", "fused")
@@ -62,32 +61,13 @@ _CTX_FUSED: contextvars.ContextVar[bool | None] = contextvars.ContextVar(
 _CTX_OP_IMPL: contextvars.ContextVar[dict] = contextvars.ContextVar(
     "repro_op_impl_ctx", default={})
 
-# Process-wide value last set by set_fused(); None means "never set", fall
-# through to the environment.
-_PROCESS_FUSED: bool | None = None
-
 
 def use_fused() -> bool:
     """Resolve the global fused/reference switch for the current context."""
     scoped = _CTX_FUSED.get()
     if scoped is not None:
         return scoped
-    if _PROCESS_FUSED is not None:
-        return _PROCESS_FUSED
     return os.environ.get("REPRO_FUSED", "1") != "0"
-
-
-def set_fused(enabled: bool) -> bool:
-    """Set the process-wide fused default; returns the previous resolved value.
-
-    Prefer the scoped :func:`fused_kernels` in tests and request handlers —
-    this process-wide setter exists for CLI entry points and as the
-    compatibility target of the deprecated ``repro.tensor.fused.set_fused``.
-    """
-    global _PROCESS_FUSED
-    previous = use_fused()
-    _PROCESS_FUSED = bool(enabled)
-    return previous
 
 
 @contextlib.contextmanager
@@ -186,8 +166,7 @@ def call(name: str, *args, impl: str | None = None, **kwargs):
 # registry depends only on repro.tensor (no upward imports into losses/nn);
 # the call sites that used to own these compositions now call through the
 # registry.  Each reference must stay numerically identical to the historical
-# call-site composition — the equivalence suite and the plan-replay
-# bit-identity gate both lean on that.
+# call-site composition — the equivalence suite leans on that.
 
 
 def _ref_l2_normalize(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +47,6 @@ __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 # ``no_grad`` scope in one thread cannot leak into another.
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "repro_grad_enabled", default=True)
-
-# Active capture tape installed by :mod:`repro.tensor.plan` while recording
-# one eager forward into a replayable plan.  ``None`` almost always, so the
-# hot-path cost in ``Tensor._make`` is a single load+is-check; the tape
-# filters on thread id so other threads' eager ops never pollute a capture.
-_TAPE = None
 
 
 @contextlib.contextmanager
@@ -104,73 +97,18 @@ def _is_basic_index(index) -> bool:
     return isinstance(index, (int, np.integer)) and not isinstance(index, bool)
 
 
-# ----------------------------------------------------------------------
-# Pure-numpy replay kernels (plan-executor ``forward`` closures).
-#
-# Each mirrors the eager computation of the op that registers it
-# bit-for-bit; ``out`` is an optional preallocated buffer (the plan arena)
-# which ufunc/matmul kernels write into and view/scatter kernels ignore.
-# ----------------------------------------------------------------------
-def _fw_add(a, b, out=None):
-    return np.add(a, b, out=out)
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in which row ``i`` of the result depends only on ``a[i]``.
 
-
-def _fw_sub(a, b, out=None):
-    return np.subtract(a, b, out=out)
-
-
-def _fw_rsub(a, b, out=None):
-    return np.subtract(b, a, out=out)
-
-
-def _fw_mul(a, b, out=None):
-    return np.multiply(a, b, out=out)
-
-
-def _fw_div(a, b, out=None):
-    return np.divide(a, b, out=out)
-
-
-def _fw_neg(a, out=None):
-    return np.negative(a, out=out)
-
-
-def _fw_matmul(a, b, out=None):
-    if out is not None and a.ndim == 2 and b.ndim == 2:
-        return np.matmul(a, b, out=out)
+    numpy hands a one-row 2-D operand to BLAS gemv, which accumulates in a
+    different order than gemm, so a row computed alone rounds differently
+    from the same row inside a taller matrix.  A lone row is therefore
+    doubled to keep every 2-D product on gemm: a one-node graph then
+    embeds to the same bytes alone as inside any batch.
+    """
+    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
     return a @ b
-
-
-def _fw_exp(a, out=None):
-    return np.exp(a, out=out)
-
-
-def _fw_log(a, out=None):
-    return np.log(a, out=out)
-
-
-def _fw_sqrt(a, out=None):
-    return np.sqrt(a, out=out)
-
-
-def _fw_abs(a, out=None):
-    return np.abs(a, out=out)
-
-
-def _fw_tanh(a, out=None):
-    return np.tanh(a, out=out)
-
-
-def _fw_sigmoid(a, out=None):
-    return 1.0 / (1.0 + np.exp(-a))
-
-
-def _fw_relu(a, out=None):
-    return np.multiply(a, a > 0, out=out)
-
-
-def _fw_softplus(a, out=None):
-    return np.logaddexp(0.0, a, out=out)
 
 
 class Tensor:
@@ -251,11 +189,7 @@ class Tensor:
         def backward(grad):
             return (grad.astype(original, copy=False),)
 
-        def forward(a, out=None):
-            return a.astype(dtype, copy=False)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="astype", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad,
@@ -269,29 +203,15 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None], *,
-              op: str | None = None,
-              forward: Callable | None = None,
-              extras: tuple = ()) -> "Tensor":
+              backward: Callable[[np.ndarray], None]) -> "Tensor":
         """Create a result tensor wired into the autograd graph.
 
         Interior nodes keep the dtype the numpy kernel produced rather than
         coercing to the default policy (see module docstring).
-
-        ``op``/``forward``/``extras`` feed the plan executor
-        (:mod:`repro.tensor.plan`): ``forward(*arrays, out=None)`` is a pure
-        numpy re-execution of this node — bit-identical to ``data`` given
-        the parent arrays followed by ``extras`` (non-Tensor operands such
-        as segment ids or a sparse adjacency).  Ops without a ``forward``
-        closure simply cannot be captured; an active capture falls back to
-        eager execution when it meets one.
         """
         data = np.asarray(data)
         if ENGINE.enabled:
             ENGINE.record_op(data.nbytes)
-        tape = _TAPE
-        if tape is not None and tape.tid == threading.get_ident():
-            tape.record(op, forward, parents, extras, data)
         requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, dtype=data.dtype)
         if requires:
@@ -423,8 +343,7 @@ class Tensor:
             return (_unbroadcast(grad, self.shape),
                     _unbroadcast(grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward,
-                            op="add", forward=_fw_add)
+        return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
@@ -436,8 +355,7 @@ class Tensor:
             return (_unbroadcast(grad, self.shape),
                     _unbroadcast(-grad, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward,
-                            op="sub", forward=_fw_sub)
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other, dtype=self.data.dtype).__sub__(self)
@@ -450,8 +368,7 @@ class Tensor:
             return (_unbroadcast(grad * other.data, self.shape),
                     _unbroadcast(grad * self.data, other.shape))
 
-        return Tensor._make(out_data, (self, other), backward,
-                            op="mul", forward=_fw_mul)
+        return Tensor._make(out_data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -464,8 +381,7 @@ class Tensor:
                     _unbroadcast(-grad * self.data / other.data ** 2,
                                  other.shape))
 
-        return Tensor._make(out_data, (self, other), backward,
-                            op="div", forward=_fw_div)
+        return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other, dtype=self.data.dtype).__truediv__(self)
@@ -474,8 +390,7 @@ class Tensor:
         def backward(grad):
             return (-grad,)
 
-        return Tensor._make(-self.data, (self,), backward,
-                            op="neg", forward=_fw_neg)
+        return Tensor._make(-self.data, (self,), backward)
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -485,15 +400,11 @@ class Tensor:
         def backward(grad):
             return (grad * exponent * self.data ** (exponent - 1),)
 
-        def forward(a, out=None):
-            return np.power(a, exponent, out=out)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="pow", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other, dtype=self.data.dtype)
-        out_data = self.data @ other.data
+        out_data = _matmul(self.data, other.data)
 
         def backward(grad):
             a, b = self.data, other.data
@@ -508,8 +419,7 @@ class Tensor:
                 return (np.outer(grad, b), a.T @ grad)
             return (grad @ b.swapaxes(-1, -2), a.swapaxes(-1, -2) @ grad)
 
-        return Tensor._make(out_data, (self, other), backward,
-                            op="matmul", forward=_fw_matmul)
+        return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return numpy arrays)
@@ -529,15 +439,13 @@ class Tensor:
         def backward(grad):
             return (grad * out_data,)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="exp", forward=_fw_exp)
+        return Tensor._make(out_data, (self,), backward)
 
     def log(self) -> "Tensor":
         def backward(grad):
             return (grad / self.data,)
 
-        return Tensor._make(np.log(self.data), (self,), backward,
-                            op="log", forward=_fw_log)
+        return Tensor._make(np.log(self.data), (self,), backward)
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
@@ -545,15 +453,13 @@ class Tensor:
         def backward(grad):
             return (grad / (2.0 * out_data),)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="sqrt", forward=_fw_sqrt)
+        return Tensor._make(out_data, (self,), backward)
 
     def abs(self) -> "Tensor":
         def backward(grad):
             return (grad * np.sign(self.data),)
 
-        return Tensor._make(np.abs(self.data), (self,), backward,
-                            op="abs", forward=_fw_abs)
+        return Tensor._make(np.abs(self.data), (self,), backward)
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
@@ -561,8 +467,7 @@ class Tensor:
         def backward(grad):
             return (grad * (1.0 - out_data ** 2),)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="tanh", forward=_fw_tanh)
+        return Tensor._make(out_data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -570,8 +475,7 @@ class Tensor:
         def backward(grad):
             return (grad * out_data * (1.0 - out_data),)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="sigmoid", forward=_fw_sigmoid)
+        return Tensor._make(out_data, (self,), backward)
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
@@ -579,22 +483,16 @@ class Tensor:
         def backward(grad):
             return (grad * mask,)
 
-        return Tensor._make(self.data * mask, (self,), backward,
-                            op="relu", forward=_fw_relu)
+        return Tensor._make(self.data * mask, (self,), backward)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
         scale = np.where(mask, 1.0, negative_slope).astype(self.data.dtype)
 
-        def forward(a, out=None):
-            s = np.where(a > 0, 1.0, negative_slope).astype(a.dtype)
-            return np.multiply(a, s, out=out)
-
         def backward(grad):
             return (grad * scale,)
 
-        return Tensor._make(self.data * scale, (self,), backward,
-                            op="leaky_relu", forward=forward)
+        return Tensor._make(self.data * scale, (self,), backward)
 
     def softplus(self) -> "Tensor":
         # Numerically stable log(1 + exp(x)).
@@ -603,8 +501,7 @@ class Tensor:
         def backward(grad):
             return (grad / (1.0 + np.exp(-self.data)),)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="softplus", forward=_fw_softplus)
+        return Tensor._make(out_data, (self,), backward)
 
     def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
         out_data = np.clip(self.data, low, high)
@@ -614,14 +511,10 @@ class Tensor:
         if high is not None:
             mask = mask * (self.data <= high)
 
-        def forward(a, out=None):
-            return np.clip(a, low, high, out=out)
-
         def backward(grad):
             return (grad * mask,)
 
-        return Tensor._make(out_data, (self,), backward,
-                            op="clip", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     # ------------------------------------------------------------------
     # Reductions
@@ -636,11 +529,7 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, self.shape).copy(),)
 
-        def forward(a, out=None):
-            return np.sum(a, axis=axis, keepdims=keepdims, out=out)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="sum", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None,
              keepdims: bool = False) -> "Tensor":
@@ -662,11 +551,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True)
             return (np.broadcast_to(g, self.shape) * mask / counts,)
 
-        def forward(a, out=None):
-            return a.max(axis=axis, keepdims=keepdims)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="max", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def min(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -687,11 +572,7 @@ class Tensor:
         def backward(grad):
             return (grad.reshape(original),)
 
-        def forward(a, out=None):
-            return a.reshape(shape)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="reshape", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def flatten(self) -> "Tensor":
         return self.reshape(-1)
@@ -704,11 +585,7 @@ class Tensor:
         def backward(grad):
             return (grad.transpose(inverse),)
 
-        def forward(a, out=None):
-            return a.transpose(axes)
-
-        return Tensor._make(out_data, (self,), backward,
-                            op="transpose", forward=forward)
+        return Tensor._make(out_data, (self,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
@@ -728,7 +605,7 @@ class Tensor:
                 np.add.at(full, index, grad)
             return (full,)
 
-        return Tensor._make(out_data, (self,), backward, op="getitem")
+        return Tensor._make(out_data, (self,), backward)
 
 
 def as_tensor(value, dtype=None) -> Tensor:

@@ -24,6 +24,25 @@ def make_graphs(count, num_features=4, seed=0):
     return graphs
 
 
+def hostile_graphs(num_features=4, seed=0):
+    """Edge cases for batch composition: a single node, zero edges,
+    isolated nodes beside a component, and a max-degree star."""
+    rng = np.random.default_rng(seed)
+    no_edges = np.empty((0, 2), dtype=np.int64)
+    leaves = np.arange(1, 33)
+    star = np.stack([np.zeros_like(leaves), leaves], axis=1)
+    shapes = [
+        (1, no_edges),                            # single node
+        (1, no_edges),                            # another single node
+        (5, no_edges),                            # zero edges
+        (6, np.array([[0, 1], [1, 2], [0, 2]])),  # 3 isolated nodes
+        (7, np.array([[2, 4]])),                  # 5 isolated nodes
+        (33, star),                               # hub of degree 32
+    ]
+    return [Graph(n, edges, rng.normal(size=(n, num_features)))
+            for n, edges in shapes]
+
+
 def row_sum_forward(graphs):
     """A cheap stand-in forward with the same per-graph-determinism
     property as FrozenEncoder.embed: row i depends only on graph i."""
@@ -294,7 +313,8 @@ class TestCloseSubmitRace:
 class TestBatchInvarianceProperty:
     """Hypothesis: block-diagonal coalesced forwards == per-graph forwards
     through a real frozen encoder, for arbitrary request shapes, arrival
-    orders, and batcher settings."""
+    orders, and batcher settings, over a pool that includes hostile
+    graphs (see :func:`hostile_graphs`)."""
 
     @classmethod
     def setup_class(cls):
@@ -302,7 +322,8 @@ class TestBatchInvarianceProperty:
         from repro.serve import FrozenEncoder
         from repro.tensor import autocast
 
-        cls.graphs = make_graphs(24, num_features=4, seed=7)
+        cls.graphs = (make_graphs(24, num_features=4, seed=7)
+                      + hostile_graphs(num_features=4, seed=11))
         with autocast("float32"):
             method = GraphCL(4, hidden_dim=8, num_layers=2,
                              rng=np.random.default_rng(0))

@@ -122,18 +122,3 @@ class TestEmbed:
         encoder = FrozenEncoder.from_checkpoint(run_dir)
         with pytest.raises(ValueError, match="empty"):
             encoder.embed([])
-
-
-class TestPlanReplay:
-    def test_replay_matches_plan_disabled_encoder(self, run_dir, graphs):
-        """Steady-state requests replay the captured plan and must stay
-        bit-identical to a plan_cache=0 (always-eager) encoder."""
-        planned = FrozenEncoder.from_checkpoint(run_dir)
-        eager = FrozenEncoder.from_checkpoint(run_dir, plan_cache=0)
-        for _ in range(3):   # capture, verify-first replay, replay
-            assert np.array_equal(planned.embed([graphs[0]]),
-                                  eager.embed([graphs[0]]))
-        assert planned.plan_metrics()["plan.replays"] >= 1
-        assert planned.plan_metrics()["plan.verify_failures"] == 0
-        assert eager.plan_metrics()["plan.capacity"] == 0
-        assert eager.plan_metrics()["plan.captures"] == 0

@@ -140,6 +140,20 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "out of range" in json.loads(excinfo.value.read())["error"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_feature_is_400(self, stack, literal):
+        """``json.loads`` accepts these literals; a non-finite feature must
+        not reach the forward and come back as a non-finite row."""
+        _, base = stack
+        body = ('{"graphs": [{"num_nodes": 2, "edges": [[0, 1]], '
+                f'"x": [[1.0, 2.0, 3.0, {literal}], [1.0, 1.0, 1.0, 1.0]]}}]}}')
+        request = Request(f"{base}/embed", data=body.encode(),
+                          headers={"Content-Type": "application/json"})
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert "finite" in json.loads(excinfo.value.read())["error"]
+
     @pytest.mark.parametrize("deadline_ms", ["soon", {"ms": 5}, 0, -10])
     def test_invalid_deadline_ms_is_400(self, stack, deadline_ms):
         _, base = stack
@@ -255,5 +269,5 @@ class TestKeepAliveLatency:
             service.close()
         assert nodelay and all(nodelay)
         assert len(nodelay) == 1  # one keep-alive connection served it all
-        # The first request pays the connect and any plan capture.
+        # The first request pays the connect.
         assert statistics.median(rounds[1:]) < 0.020

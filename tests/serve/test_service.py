@@ -107,15 +107,3 @@ class TestMetrics:
                               max_wait_ms=0.0) as service:
             service.embed_graphs(graphs[:1])
         assert metrics.snapshot()["serve.requests"] == 1
-
-    def test_snapshot_carries_plan_counters(self, encoder, graphs):
-        """The /metrics payload includes the encoder's plan.* journal."""
-        with EmbeddingService(encoder, cache_entries=0,
-                              max_wait_ms=0.0) as service:
-            rows = [service.embed_graphs([graphs[0]])[0] for _ in range(3)]
-            snapshot = service.metrics_snapshot()
-        assert all(np.array_equal(rows[0], row) for row in rows[1:])
-        assert snapshot["plan.captures"] >= 1
-        assert snapshot["plan.replays"] >= 1
-        assert snapshot["plan.verify_failures"] == 0
-        assert snapshot["plan.capacity"] > 0

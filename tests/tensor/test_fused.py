@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import infonce_gradient_features
 from repro.losses import info_nce
-from repro.tensor import Tensor, fused_kernels, set_fused, use_fused
+from repro.tensor import Tensor, fused_kernels, use_fused
 
 # Hypothesis-heavy / end-to-end suite: deselected by CI tier (b)
 # via -m 'not slow'; `make test-all` runs it.
@@ -26,21 +26,6 @@ class TestFusedSwitch:
         with fused_kernels(not initial):
             assert use_fused() is (not initial)
         assert use_fused() is initial
-
-    def test_set_fused_returns_previous(self):
-        initial = use_fused()
-        assert set_fused(not initial) is initial
-        assert set_fused(initial) is (not initial)
-
-    def test_deprecated_fused_module_shims_delegate(self):
-        """repro.tensor.fused re-exports must hit the registry policy."""
-        from repro.tensor import fused as fused_mod
-
-        initial = use_fused()
-        with fused_mod.fused_kernels(not initial):
-            assert use_fused() is (not initial)
-            assert fused_mod.use_fused() is (not initial)
-        assert fused_mod.use_fused() is initial
 
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False,
