@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
-from repro.methods import GraphCL, train_graph_method
+from repro.methods import GraphCL
+from repro.run import GraphSteps, Trainer
 from repro.tensor import autocast
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_eval.json"
@@ -55,7 +56,7 @@ def make_embeddings() -> tuple[np.ndarray, np.ndarray]:
         dataset = load_tu_dataset("PROTEINS", scale="small", seed=0)
         method = GraphCL(dataset.num_features, hidden_dim=32, num_layers=3,
                          rng=np.random.default_rng(0))
-        train_graph_method(method, dataset.graphs, epochs=1, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1).fit()
         embeddings = method.embed(dataset.graphs)
     return np.asarray(embeddings, dtype=np.float64), dataset.labels()
 

@@ -14,7 +14,8 @@ import numpy as np
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset
 from repro.eval import evaluate_node_embeddings
-from repro.methods import GRACE, train_node_method
+from repro.methods import GRACE
+from repro.run import NodeSteps, Trainer
 
 from .common import config, report, run_once
 
@@ -27,8 +28,8 @@ def _evaluate(dataset, cfg, *, weight, aggregate, seed=0):
                    aggregate_gradients=aggregate)
     if weight > 0:
         method = gradgcl(method, weight)
-    train_node_method(method, dataset.graph, epochs=cfg.node_epochs,
-                      lr=3e-3)
+    Trainer(method, NodeSteps(dataset.graph), epochs=cfg.node_epochs,
+            lr=3e-3).fit()
     acc, std = evaluate_node_embeddings(method.embed(dataset.graph),
                                         dataset.labels(),
                                         dataset.train_mask,

@@ -15,7 +15,8 @@ from repro.core import ContrastiveObjective, GradGCLObjective, InfoNCEObjective
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
 from repro.losses import hard_negative_info_nce
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 
 from .common import config, report, run_once
 
@@ -32,8 +33,8 @@ class _HardNegativeObjective(ContrastiveObjective):
 
 
 def _evaluate(method, dataset, cfg, seed=0):
-    train_graph_method(method, dataset.graphs, epochs=cfg.graph_epochs,
-                       batch_size=32, seed=seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+            epochs=cfg.graph_epochs).fit()
     acc, _ = evaluate_graph_embeddings(method.embed(dataset.graphs),
                                        dataset.labels(), folds=cfg.folds,
                                        repeats=cfg.cv_repeats, seed=seed)

@@ -15,14 +15,15 @@ from repro.augment import NodeDrop, SubgraphSample
 from repro.core import AlignmentAugmentedObjective, gradgcl
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
-from repro.methods import GraphCL, SimGRACE, train_graph_method
+from repro.methods import GraphCL, SimGRACE
+from repro.run import GraphSteps, Trainer
 
 from .common import config, report, run_once
 
 
 def _evaluate(method, dataset, cfg, seed=0):
-    train_graph_method(method, dataset.graphs, epochs=cfg.graph_epochs,
-                       batch_size=32, seed=seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+            epochs=cfg.graph_epochs).fit()
     acc, std = evaluate_graph_embeddings(method.embed(dataset.graphs),
                                          dataset.labels(), folds=cfg.folds,
                                          repeats=cfg.cv_repeats, seed=seed)

@@ -17,7 +17,8 @@ from repro.core import (
     num_collapsed_dimensions,
 )
 from repro.datasets import load_tu_dataset
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 
 from .common import config, full_grid, report, run_once
 
@@ -35,9 +36,8 @@ def _run():
         method = SimGRACE(dataset.num_features, hidden_dim=dim // 2,
                           num_layers=2, rng=rng, perturb_magnitude=0.5)
         # Collapse regime: weight decay + extended training (see DESIGN.md).
-        train_graph_method(method, dataset.graphs,
-                           epochs=3 * cfg.graph_epochs, batch_size=64,
-                           lr=3e-3, weight_decay=3e-2, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=64, seed=0),
+                epochs=3 * cfg.graph_epochs, lr=3e-3, weight_decay=3e-2).fit()
         emb = method.embed(dataset.graphs)
         spectrum = log_spectrum(emb)
         rows.append([f"dim={dim}",

@@ -15,7 +15,8 @@ import numpy as np
 from repro.core import infonce_gradient_features
 from repro.datasets import load_tu_dataset
 from repro.eval import similarity_diversity, tsne
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.tensor import Tensor
 
 from .common import config, report, run_once
@@ -42,8 +43,8 @@ def _run():
         dataset = load_tu_dataset(name, scale=cfg.dataset_scale, seed=0)
         rng = np.random.default_rng(0)
         method = SimGRACE(dataset.num_features, 16, 2, rng=rng)
-        train_graph_method(method, dataset.graphs, epochs=cfg.graph_epochs,
-                           batch_size=32, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=0),
+                epochs=cfg.graph_epochs).fit()
         emb = method.embed(dataset.graphs)
         u = Tensor(emb)
         grads, _ = infonce_gradient_features(u, u, tau=0.5, sim="cos")

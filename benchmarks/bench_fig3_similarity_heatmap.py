@@ -14,7 +14,8 @@ import numpy as np
 from repro.core import hard_negative_rate, infonce_gradient_features
 from repro.datasets import load_tu_dataset
 from repro.eval import intra_inter_class_similarity, similarity_diversity
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.tensor import Tensor
 
 from .common import config, report, run_once
@@ -30,8 +31,8 @@ def _run():
         dataset = load_tu_dataset(name, scale=cfg.dataset_scale, seed=0)
         rng = np.random.default_rng(0)
         method = SimGRACE(dataset.num_features, 16, 2, rng=rng)
-        train_graph_method(method, dataset.graphs, epochs=cfg.graph_epochs,
-                           batch_size=32, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=0),
+                epochs=cfg.graph_epochs).fit()
         emb = method.embed(dataset.graphs)
         grads, _ = infonce_gradient_features(Tensor(emb), Tensor(emb),
                                              tau=0.5, sim="cos")

@@ -16,7 +16,8 @@ from repro.core import (
     num_collapsed_dimensions,
 )
 from repro.datasets import load_tu_dataset
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 
 from .common import config, full_grid, report, run_once
 
@@ -37,9 +38,10 @@ def _run():
                               perturb_magnitude=0.5)
             if weight > 0:
                 method = gradgcl(method, weight)
-            train_graph_method(method, dataset.graphs,
-                               epochs=8 * cfg.graph_epochs, batch_size=64,
-                               lr=3e-3, weight_decay=3e-2, seed=seed)
+            Trainer(method,
+                    GraphSteps(dataset.graphs, batch_size=64, seed=seed),
+                    epochs=8 * cfg.graph_epochs, lr=3e-3,
+                    weight_decay=3e-2).fit()
             emb = method.embed(dataset.graphs)
             ranks.append(effective_rank(emb))
             collapsed.append(num_collapsed_dimensions(emb, tol=1e-4))

@@ -17,7 +17,8 @@ from repro.eval import (
     intra_inter_class_similarity,
     similarity_diversity,
 )
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 
 from .common import config, report, run_once
 
@@ -38,9 +39,9 @@ def _run():
             method = SimGRACE(dataset.num_features, 16, 2, rng=rng)
             if weight > 0:
                 method = gradgcl(method, weight)
-            train_graph_method(method, dataset.graphs,
-                               epochs=2 * cfg.graph_epochs, batch_size=32,
-                               seed=seed)
+            Trainer(method,
+                    GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+                    epochs=2 * cfg.graph_epochs).fit()
             emb = method.embed(dataset.graphs)
             intra, inter = intra_inter_class_similarity(emb, labels)
             acc, _ = evaluate_graph_embeddings(emb, labels, folds=cfg.folds,

@@ -14,7 +14,8 @@ from repro.core import gradgcl
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
 from repro.losses import alignment_value, uniformity_value
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.tensor import Tensor, no_grad
 
 from .common import config, report, run_once
@@ -58,9 +59,10 @@ def _run():
         method = SimGRACE(dataset.num_features, 16, 2, rng=rng)
         if weight > 0:
             method = gradgcl(method, weight)
-        history = train_graph_method(
-            method, dataset.graphs, epochs=2 * cfg.graph_epochs,
-            batch_size=32, seed=0, probe=_probe_factory(dataset, cfg))
+        history = Trainer(
+            method, GraphSteps(dataset.graphs, batch_size=32, seed=0),
+            epochs=2 * cfg.graph_epochs,
+            probe=_probe_factory(dataset, cfg)).fit()
         stride = max(1, len(history.probes) // 5)
         for epoch in range(0, len(history.probes), stride):
             p = history.probes[epoch]

@@ -33,8 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_tu_dataset
-from repro.methods import MVGRL, GraphCL, train_graph_method
+from repro.methods import MVGRL, GraphCL
 from repro.pipeline import StructureCache
+from repro.run import GraphSteps, Trainer
 from repro.tensor import autocast
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
@@ -58,10 +59,10 @@ def _graphcl_once(workers: int | None, *, legacy: bool = False,
             # Pre-pipeline augmentation path: per-batch shared-rng loops.
             method.view_generator = None
         kwargs = {} if legacy else {"workers": workers, "prefetch": prefetch}
-        train_graph_method(method, dataset.graphs, epochs=1, seed=0,
-                           **kwargs)  # warmup
-        history = train_graph_method(method, dataset.graphs, epochs=5,
-                                     seed=1, **kwargs)
+        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1,
+                **kwargs).fit()  # warmup
+        history = Trainer(method, GraphSteps(dataset.graphs, seed=1), epochs=5,
+                          **kwargs).fit()
     return (statistics.median(history.epoch_seconds),
             float(history.losses[-1]))
 
@@ -73,10 +74,10 @@ def _mvgrl_once(cache: StructureCache | None) -> tuple[float, float]:
                        rng=np.random.default_rng(0))
         # The warmup epoch populates the cache, so with ``cache`` given all
         # five timed epochs run warm — the steady-state regime.
-        train_graph_method(method, dataset.graphs, epochs=1, seed=0,
-                           structure_cache=cache)
-        history = train_graph_method(method, dataset.graphs, epochs=5,
-                                     seed=1, structure_cache=cache)
+        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1,
+                structure_cache=cache).fit()
+        history = Trainer(method, GraphSteps(dataset.graphs, seed=1), epochs=5,
+                          structure_cache=cache).fit()
     return (statistics.median(history.epoch_seconds),
             float(history.losses[-1]))
 

@@ -38,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.datasets import load_tu_dataset
-from repro.methods import GraphCL, train_graph_method
+from repro.methods import GraphCL
+from repro.run import GraphSteps, Trainer
 from repro.serve import EmbeddingService, FrozenEncoder
 from repro.tensor import autocast
 
@@ -70,7 +71,7 @@ def make_encoder() -> tuple[FrozenEncoder, list]:
         dataset = load_tu_dataset("MUTAG", scale="small", seed=0)
         method = GraphCL(dataset.num_features, hidden_dim=32, num_layers=3,
                          rng=np.random.default_rng(0))
-        train_graph_method(method, dataset.graphs, epochs=1, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1).fit()
     encoder = FrozenEncoder(method, dtype="float32",
                             num_features=dataset.num_features)
     return encoder, list(dataset.graphs)

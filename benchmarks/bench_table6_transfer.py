@@ -46,11 +46,10 @@ def _run():
                        ("ContextPred", ContextPred)]:
         method = cls(pretrain.num_features, 16, 2,
                      rng=np.random.default_rng(0))
-        from repro.methods import train_graph_method
+        from repro.run import GraphSteps, Trainer
 
-        train_graph_method(method, pretrain.graphs,
-                           epochs=max(3, cfg.graph_epochs // 2),
-                           batch_size=32, lr=3e-3, seed=0)
+        Trainer(method, GraphSteps(pretrain.graphs, batch_size=32, seed=0),
+                epochs=max(3, cfg.graph_epochs // 2), lr=3e-3).fit()
         aucs = [finetune_roc_auc(method.encoder, ds,
                                  epochs=finetune_epochs, lr=3e-3,
                                  test_fraction=0.75, seed=1)

@@ -13,7 +13,7 @@ relative overhead since Eq. 6 adds one dense softmax per step).
 
 from repro.datasets import load_tu_dataset
 from repro.methods import GraphCL, InfoGraph, JOAO, SimGRACE
-from repro.methods import train_graph_method
+from repro.run import GraphSteps, Trainer
 from repro.utils import lap_statistics
 
 from .common import build_graph_variant, config, report, run_once
@@ -31,9 +31,9 @@ def _run():
         p50s = {}
         for suffix, weight in [("", 0.0), ("(f+g)", 0.5)]:
             method = build_graph_variant(cls, dataset, weight, seed=0)
-            history = train_graph_method(method, dataset.graphs,
-                                         epochs=cfg.graph_epochs,
-                                         batch_size=32, seed=0)
+            history = Trainer(
+                method, GraphSteps(dataset.graphs, batch_size=32, seed=0),
+                epochs=cfg.graph_epochs).fit()
             stats = lap_statistics(history.epoch_seconds)
             p50s[suffix] = stats.p50
             rows.append([dataset_name, cls.name + suffix,

@@ -31,7 +31,8 @@ import numpy as np
 from repro.core import gradgcl, infonce_gradient_features
 from repro.datasets import load_tu_dataset
 from repro.losses import info_nce
-from repro.methods import GraphCL, SimGRACE, train_graph_method
+from repro.methods import GraphCL, SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.tensor import (
     Tensor,
     autocast,
@@ -220,8 +221,10 @@ def _e2e_once(cls) -> tuple[float, float]:
         method = cls(dataset.num_features, hidden_dim=32, num_layers=3,
                      rng=np.random.default_rng(0))
         method = gradgcl(method, 0.5)
-        train_graph_method(method, dataset.graphs, epochs=1, seed=0)  # warmup
-        history = train_graph_method(method, dataset.graphs, epochs=5, seed=1)
+        # Warmup epoch, then the timed run.
+        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1).fit()
+        history = Trainer(method, GraphSteps(dataset.graphs, seed=1),
+                          epochs=5).fit()
     return (statistics.median(history.epoch_seconds),
             float(history.losses[-1]))
 

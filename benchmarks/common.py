@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core import gradgcl
-from repro.methods import train_graph_method, train_node_method
 from repro.obs import RunJournal
+from repro.run import GraphSteps, NodeSteps, Trainer
 from repro.utils import format_table
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -130,8 +130,8 @@ def graph_accuracy(cls, dataset, weight: float, cfg: BenchConfig,
     for seed in cfg.seeds:
         method = build_graph_variant(cls, dataset, weight, seed,
                                      **build_kwargs)
-        train_graph_method(method, dataset.graphs, epochs=cfg.graph_epochs,
-                           batch_size=32, lr=1e-3, seed=seed)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+                epochs=cfg.graph_epochs, lr=1e-3).fit()
         acc, cv_std = evaluate_graph_embeddings(
             method.embed(dataset.graphs), dataset.labels(),
             classifier=classifier, folds=cfg.folds, repeats=cfg.cv_repeats,
@@ -152,8 +152,8 @@ def node_accuracy(cls, dataset, weight: float, cfg: BenchConfig,
     for seed in cfg.seeds:
         method = build_node_variant(cls, dataset, weight, seed,
                                     **build_kwargs)
-        train_node_method(method, dataset.graph, epochs=cfg.node_epochs,
-                          lr=3e-3)
+        Trainer(method, NodeSteps(dataset.graph), epochs=cfg.node_epochs,
+                lr=3e-3).fit()
         acc, probe_std = evaluate_node_embeddings(
             method.embed(dataset.graph), dataset.labels(),
             dataset.train_mask, dataset.test_mask, seed=seed)

@@ -22,7 +22,8 @@ from repro.core import (
 )
 from repro.datasets import load_tu_dataset
 from repro.eval import similarity_diversity
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.utils import print_table
 
 
@@ -34,8 +35,8 @@ def train(dataset, weight: float, seed: int = 0):
         method = gradgcl(method, weight)
     # Weight decay + longer training drives the collapse the paper's
     # Fig. 1 observes after long pretraining on real benchmarks.
-    train_graph_method(method, dataset.graphs, epochs=80, batch_size=64,
-                       lr=3e-3, weight_decay=3e-2, seed=seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=64, seed=seed),
+            epochs=80, lr=3e-3, weight_decay=3e-2).fit()
     return method.embed(dataset.graphs)
 
 

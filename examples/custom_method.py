@@ -17,7 +17,8 @@ from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
 from repro.gnn import GINEncoder, ProjectionHead
 from repro.graph import GraphBatch
-from repro.methods import GraphContrastiveMethod, train_graph_method
+from repro.methods import GraphContrastiveMethod
+from repro.run import GraphSteps, Trainer
 from repro.utils import print_table
 
 
@@ -57,8 +58,8 @@ def main():
         method = MyMethod(dataset.num_features, rng=rng)
         if weight > 0:
             method = gradgcl(method, weight)   # <- one line to plug in
-        train_graph_method(method, dataset.graphs, epochs=15,
-                           batch_size=32, seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=0),
+                epochs=15).fit()
         acc, std = evaluate_graph_embeddings(method.embed(dataset.graphs),
                                              dataset.labels())
         rows.append([label, f"{acc:.2f}±{std:.2f}"])

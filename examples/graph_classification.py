@@ -15,7 +15,8 @@ from repro.baselines import graph2vec_features, graphlet_features, wl_features
 from repro.core import gradgcl
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
-from repro.methods import GraphCL, JOAO, SimGRACE, train_graph_method
+from repro.methods import GraphCL, JOAO, SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.utils import format_cell, print_table
 
 DATASETS = ["MUTAG", "IMDB-B"]
@@ -29,8 +30,8 @@ def evaluate_method(cls, dataset, weight: float, seed: int = 0):
     method = cls(dataset.num_features, hidden_dim=16, num_layers=2, rng=rng)
     if weight > 0:
         method = gradgcl(method, weight)
-    train_graph_method(method, dataset.graphs, epochs=8, batch_size=32,
-                       lr=1e-3, seed=seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+            epochs=8, lr=1e-3).fit()
     return evaluate_graph_embeddings(method.embed(dataset.graphs),
                                      dataset.labels(), folds=5, repeats=2,
                                      seed=seed)

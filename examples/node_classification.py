@@ -18,7 +18,8 @@ from repro.baselines import (
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset
 from repro.eval import evaluate_node_embeddings
-from repro.methods import BGRL, COSTA, GRACE, train_node_method
+from repro.methods import BGRL, COSTA, GRACE
+from repro.run import NodeSteps, Trainer
 from repro.utils import format_cell, print_table
 
 
@@ -27,7 +28,7 @@ def evaluate_method(cls, dataset, weight: float, seed: int = 0):
     method = cls(dataset.num_features, hidden_dim=32, out_dim=16, rng=rng)
     if weight > 0:
         method = gradgcl(method, weight)
-    train_node_method(method, dataset.graph, epochs=25, lr=3e-3)
+    Trainer(method, NodeSteps(dataset.graph), epochs=25, lr=3e-3).fit()
     return evaluate_node_embeddings(method.embed(dataset.graph),
                                     dataset.labels(), dataset.train_mask,
                                     dataset.test_mask, seed=seed)

@@ -18,7 +18,8 @@ import numpy as np
 from repro.core import effective_rank, gradgcl
 from repro.datasets import load_tu_dataset
 from repro.eval import evaluate_graph_embeddings
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.utils import print_table
 
 
@@ -31,8 +32,9 @@ def run_variant(dataset, weight: float, seeds=(0, 1)):
                           rng=rng)
         if weight > 0:
             method = gradgcl(method, weight)
-        history = train_graph_method(method, dataset.graphs, epochs=20,
-                                     batch_size=32, lr=1e-3, seed=seed)
+        history = Trainer(
+            method, GraphSteps(dataset.graphs, batch_size=32, seed=seed),
+            epochs=20, lr=1e-3).fit()
         embeddings = method.embed(dataset.graphs)
         acc, std = evaluate_graph_embeddings(embeddings, dataset.labels(),
                                              folds=10, repeats=3, seed=seed)

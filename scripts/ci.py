@@ -9,8 +9,8 @@ Tiers run in order and the gate stops at the first failure:
 * **b — tests**: the tier-1 suite minus ``@pytest.mark.slow``
   (``PYTHONPATH=src python -m pytest -x -q -m "not slow"``); the slow
   suites run from ``make test-all`` nightly-style.
-* **c — telemetry smoke**: a 2-epoch GradGCL-wrapped GraphCL training run
-  with ``--run-dir``, then schema validation of the resulting JSONL
+* **c — telemetry smoke**: a 2-epoch GradGCL-wrapped GraphCL
+  ``repro run`` with ``--run-dir``, then schema validation of the resulting JSONL
   journal (config / epoch with loss_f+loss_g+grad_norm+throughput /
   spectrum / engine / run_end) and a ``repro report`` render; the same
   smoke then reruns with ``--workers 2`` and with ``--no-cache``, and the
@@ -68,7 +68,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
-SMOKE_ARGS = ["train-graph", "--method", "GraphCL", "--dataset", "MUTAG",
+SMOKE_ARGS = ["run", "--method", "GraphCL", "--dataset", "MUTAG",
               "--epochs", "2", "--weight", "0.5", "--scale", "tiny",
               "--seed", "0"]
 

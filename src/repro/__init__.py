@@ -12,14 +12,15 @@ Quickstart::
 
     import numpy as np
     from repro.datasets import load_tu_dataset
-    from repro.methods import SimGRACE, train_graph_method
     from repro.core import gradgcl
     from repro.eval import evaluate_graph_embeddings
+    from repro.methods import SimGRACE
+    from repro.run import GraphSteps, Trainer
 
     dataset = load_tu_dataset("MUTAG")
     model = gradgcl(SimGRACE(dataset.num_features,
                              rng=np.random.default_rng(0)), weight=0.5)
-    train_graph_method(model, dataset.graphs, epochs=20)
+    Trainer(model, GraphSteps(dataset.graphs), epochs=20).fit()
     acc, std = evaluate_graph_embeddings(model.embed(dataset.graphs),
                                          dataset.labels())
 """

@@ -11,19 +11,11 @@ Subcommands
 ``datasets``
     Print the statistics tables (paper Tables I/II/III) of the synthetic
     benchmark registry.
-``train-graph``
-    Train a graph-level method (optionally GradGCL-wrapped) and report the
-    SVM evaluation accuracy (a thin shim over ``run``).
-``train-node``
-    Same for node-level methods with the linear-probe protocol.
 ``spectrum``
     Collapse analysis: train SimGRACE at a gradient weight and print the
     covariance spectrum summary.
 ``flow``
     Run the Lemma 2/3 linear-encoder gradient-flow simulation.
-``sweep``
-    Gradient-weight sensitivity curve (Fig. 8): train one method at
-    several weights ``a`` and print the accuracy-vs-weight table.
 ``report``
     Render the JSONL telemetry journal of a ``--run-dir`` training run as
     text tables (config, per-epoch losses/grad-norms/throughput, collapse
@@ -46,11 +38,10 @@ Examples::
     repro run config.json --epochs 40 --run-dir runs/exp1
     repro run --resume runs/exp1
     repro datasets --family tu
-    repro train-graph --method GraphCL --epochs 2 --run-dir runs/smoke
+    repro run --method GraphCL --epochs 2 --run-dir runs/smoke
     repro report runs/smoke
-    repro train-node --method GRACE --dataset Cora --weight 0.2
+    repro run --method GRACE --dataset Cora --weight 0.2
     repro spectrum --dataset IMDB-B --weight 0.5
-    repro sweep --method SimGRACE --weights 0.0 0.5 1.0
     repro flow --weight 0.5
     repro serve --run-dir runs/exp1 --port 8080 --max-wait-ms 5
     repro embed --run-dir runs/exp1 --out embeddings.npz
@@ -132,52 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
                          "docs/robustness.md)")
     rn.add_argument("--save", default=None,
                     help="path to save the trained encoder (.npz)")
-    _add_cache_arguments(rn)
+    rn.add_argument("--no-cache", action="store_true",
+                    help="disable the persistent structure cache "
+                         "(MVGRL's PPR/heat diffusion reuse across epochs)")
+    rn.add_argument("--cache-entries", type=int, default=None,
+                    help="structure-cache LRU bound (default: "
+                         "REPRO_CACHE_ENTRIES or 1024)")
 
     ds = sub.add_parser("datasets", help="print benchmark statistics")
     ds.add_argument("--family", choices=["tu", "node", "molecule", "all"],
                     default="all")
     ds.add_argument("--scale", default="small", choices=_SCALES)
     ds.add_argument("--seed", type=int, default=0)
-
-    tg = sub.add_parser("train-graph",
-                        help="train and evaluate a graph-level method")
-    tg.add_argument("--method", choices=method_names("graph"),
-                    default="SimGRACE")
-    tg.add_argument("--dataset", default="MUTAG")
-    tg.add_argument("--weight", type=float, default=0.0,
-                    help="gradient-loss weight a (0 = base model)")
-    tg.add_argument("--epochs", type=int, default=20)
-    tg.add_argument("--hidden-dim", type=int, default=16)
-    tg.add_argument("--layers", type=int, default=2)
-    tg.add_argument("--scale", default="small", choices=_SCALES)
-    tg.add_argument("--seed", type=int, default=0)
-    tg.add_argument("--save", default=None,
-                    help="path to save the trained encoder (.npz)")
-    tg.add_argument("--run-dir", default=None,
-                    help="write a JSONL telemetry journal to this directory")
-    tg.add_argument("--workers", type=int, default=None,
-                    help="augmentation worker processes (default: "
-                         "REPRO_WORKERS or 0 = serial); every worker count "
-                         "produces bit-identical results")
-    _add_cache_arguments(tg)
-
-    tn = sub.add_parser("train-node",
-                        help="train and evaluate a node-level method")
-    tn.add_argument("--method", choices=method_names("node"),
-                    default="GRACE")
-    tn.add_argument("--dataset", default="Cora")
-    tn.add_argument("--weight", type=float, default=0.0)
-    tn.add_argument("--epochs", type=int, default=40)
-    tn.add_argument("--hidden-dim", type=int, default=32)
-    tn.add_argument("--out-dim", type=int, default=16)
-    tn.add_argument("--scale", default="small", choices=_SCALES)
-    tn.add_argument("--seed", type=int, default=0)
-    tn.add_argument("--save", default=None,
-                    help="path to save the trained encoder (.npz)")
-    tn.add_argument("--run-dir", default=None,
-                    help="write a JSONL telemetry journal to this directory")
-    _add_cache_arguments(tn)
 
     sp = sub.add_parser("spectrum", help="collapse spectrum analysis")
     sp.add_argument("--dataset", default="IMDB-B")
@@ -193,17 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--samples", type=int, default=32)
     fl.add_argument("--dim", type=int, default=10)
     fl.add_argument("--seed", type=int, default=0)
-
-    sw = sub.add_parser("sweep",
-                        help="gradient-weight sensitivity curve (Fig. 8)")
-    sw.add_argument("--method", choices=method_names("graph"),
-                    default="SimGRACE")
-    sw.add_argument("--dataset", default="MUTAG")
-    sw.add_argument("--weights", type=float, nargs="+",
-                    default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    sw.add_argument("--epochs", type=int, default=15)
-    sw.add_argument("--scale", default="small", choices=_SCALES)
-    sw.add_argument("--seed", type=int, default=0)
 
     rp = sub.add_parser("report",
                         help="render a run-dir telemetry journal as tables")
@@ -280,15 +226,6 @@ def _add_inference_arguments(sub: argparse.ArgumentParser) -> None:
                           "float64 reproduces training-precision numbers)")
 
 
-def _add_cache_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--no-cache", action="store_true",
-                     help="disable the persistent structure cache "
-                          "(adjacency/diffusion reuse across epochs)")
-    sub.add_argument("--cache-entries", type=int, default=None,
-                     help="structure-cache LRU bound (default: "
-                          "REPRO_CACHE_ENTRIES or 1024)")
-
-
 # ----------------------------------------------------------------------
 # The unified runner
 # ----------------------------------------------------------------------
@@ -310,7 +247,7 @@ _RUN_CONFIG_FLAGS = {
 
 
 def _print_run_result(result) -> int:
-    """Human summary of a RunResult (shared by run/train-* commands)."""
+    """Human summary of a RunResult (``run`` and ``run --resume``)."""
     config = result.config
     if result.interrupted:
         done = len(result.history.losses) if result.history else 0
@@ -413,33 +350,6 @@ def _cmd_datasets(args) -> int:
     return 0
 
 
-def _train_config(args, level: str):
-    """RunConfig for the legacy train-graph / train-node shims."""
-    from repro.run import RunConfig
-
-    return RunConfig(
-        method=args.method, dataset=args.dataset, level=level,
-        scale=args.scale, weight=args.weight, epochs=args.epochs,
-        seed=args.seed, hidden_dim=args.hidden_dim,
-        out_dim=getattr(args, "out_dim", None),
-        num_layers=getattr(args, "layers", None),
-        workers=getattr(args, "workers", None),
-        cache=not args.no_cache, cache_entries=args.cache_entries,
-        run_dir=args.run_dir, save=args.save)
-
-
-def _cmd_train_graph(args) -> int:
-    from repro.run import execute_run
-
-    return _print_run_result(execute_run(_train_config(args, "graph")))
-
-
-def _cmd_train_node(args) -> int:
-    from repro.run import execute_run
-
-    return _print_run_result(execute_run(_train_config(args, "node")))
-
-
 def _cmd_spectrum(args) -> int:
     from repro.core import (
         effective_rank,
@@ -447,7 +357,8 @@ def _cmd_spectrum(args) -> int:
         num_collapsed_dimensions,
     )
     from repro.datasets import load_tu_dataset
-    from repro.methods import SimGRACE, train_graph_method
+    from repro.methods import SimGRACE
+    from repro.run import GraphSteps, Trainer
 
     dataset = load_tu_dataset(args.dataset, scale=args.scale,
                               seed=args.seed)
@@ -456,9 +367,9 @@ def _cmd_spectrum(args) -> int:
                       perturb_magnitude=0.5)
     if args.weight > 0:
         method = gradgcl(method, args.weight)
-    train_graph_method(method, dataset.graphs, epochs=args.epochs,
-                       batch_size=64, lr=3e-3, weight_decay=3e-2,
-                       seed=args.seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=64,
+                               seed=args.seed),
+            epochs=args.epochs, lr=3e-3, weight_decay=3e-2).fit()
     embeddings = method.embed(dataset.graphs)
     print(f"SimGRACE(a={args.weight}) on {args.dataset}: "
           f"effective-rank {effective_rank(embeddings):.2f}"
@@ -483,23 +394,6 @@ def _cmd_flow(args) -> int:
           f"{result.final_embedding_rank:.2f}, "
           f"weight rank -> {result.final_weight_rank:.2f}, "
           f"loss -> {result.losses[-1]:.4f}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    from repro.run import RunConfig, execute_run
-    from repro.utils import print_table
-
-    rows = []
-    for weight in args.weights:
-        config = RunConfig(method=args.method, dataset=args.dataset,
-                           level="graph", scale=args.scale, weight=weight,
-                           epochs=args.epochs, seed=args.seed)
-        result = execute_run(config)
-        rows.append([f"a={weight}",
-                     f"{result.accuracy:.2f}±{result.accuracy_std:.2f}"])
-    print_table(f"{args.method} on {args.dataset}: accuracy vs gradient "
-                "weight", ["Weight", "Accuracy (%)"], rows)
     return 0
 
 
@@ -674,11 +568,8 @@ def _cmd_report(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "datasets": _cmd_datasets,
-    "train-graph": _cmd_train_graph,
-    "train-node": _cmd_train_node,
     "spectrum": _cmd_spectrum,
     "flow": _cmd_flow,
-    "sweep": _cmd_sweep,
     "report": _cmd_report,
     "serve": _cmd_serve,
     "embed": _cmd_embed,

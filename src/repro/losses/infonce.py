@@ -38,8 +38,7 @@ def similarity_matrix(u: Tensor, v: Tensor, sim: str = "cos") -> Tensor:
 
 
 def info_nce(u: Tensor, v: Tensor, tau: float = 0.5,
-             sim: str = "cos", symmetric: bool = True,
-             fused: bool | None = None) -> Tensor:
+             sim: str = "cos", symmetric: bool = True) -> Tensor:
     """InfoNCE loss between paired views ``u`` and ``v`` (paper Eq. 4).
 
     Row ``n`` of ``u`` and row ``n`` of ``v`` are a positive pair; all other
@@ -51,10 +50,9 @@ def info_nce(u: Tensor, v: Tensor, tau: float = 0.5,
     symmetric:
         Average the loss over both anchoring directions (u -> v and v -> u),
         the convention of GraphCL/GRACE.
-    fused:
-        Force the single-node fused kernel (``True``) or the unfused
-        reference composition (``False``); ``None`` (default) follows the
-        registry dispatch policy (:func:`repro.tensor.use_fused` et al.).
+
+    The fused single-node kernel or the unfused reference composition is
+    chosen by the registry dispatch policy (:func:`repro.tensor.use_fused`).
     """
     if u.shape != v.shape:
         raise ValueError(f"view shapes differ: {u.shape} vs {v.shape}")
@@ -64,9 +62,7 @@ def info_nce(u: Tensor, v: Tensor, tau: float = 0.5,
         raise ValueError(f"temperature must be positive, got {tau}")
     if sim not in _SIM_MODES:
         raise ValueError(f"unknown similarity {sim!r}; choose from {_SIM_MODES}")
-    impl = None if fused is None else ("fused" if fused else "reference")
-    return call("info_nce", u, v, tau=tau, sim=sim, symmetric=symmetric,
-                impl=impl)
+    return call("info_nce", u, v, tau=tau, sim=sim, symmetric=symmetric)
 
 
 def nt_xent(u: Tensor, v: Tensor, tau: float = 0.5) -> Tensor:

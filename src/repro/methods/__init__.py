@@ -1,7 +1,6 @@
-"""Contrastive-method implementations and the shared training loops."""
+"""Contrastive-method implementations (trained through :mod:`repro.run`)."""
 
 from .base import GraphContrastiveMethod, NodeContrastiveMethod
-from .trainer import TrainHistory, train_graph_method, train_node_method
 from .graphcl import GraphCL, default_augmentation
 from .rgcl import RGCL
 from .joao import JOAO
@@ -18,7 +17,6 @@ from .pretrain_baselines import AttrMasking, ContextPred
 
 __all__ = [
     "GraphContrastiveMethod", "NodeContrastiveMethod",
-    "TrainHistory", "train_graph_method", "train_node_method",
     "GraphCL", "default_augmentation", "RGCL", "JOAO", "SimGRACE",
     "InfoGraph",
     "MVGRL", "MVGRLNode", "GRACE", "GCA", "DGI", "BGRL", "SGCL",

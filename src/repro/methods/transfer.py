@@ -17,10 +17,10 @@ from ..eval import roc_auc
 from ..gnn import GINEncoder
 from ..graph import Graph, GraphBatch, GraphLoader
 from ..nn import Adam, Linear
+from ..run import GraphSteps, Trainer
 from ..tensor import log_softmax, no_grad
 from ..utils.seed import seeded_rng
 from .base import GraphContrastiveMethod
-from .trainer import train_graph_method
 
 __all__ = ["finetune_roc_auc", "TransferResult", "run_transfer"]
 
@@ -96,9 +96,9 @@ def run_transfer(method: GraphContrastiveMethod,
     is where pretraining quality matters (with abundant downstream labels a
     from-scratch encoder catches up and the comparison saturates).
     """
-    train_graph_method(method, list(pretrain_graphs),
-                       epochs=pretrain_epochs, batch_size=batch_size,
-                       lr=lr, seed=seed)
+    Trainer(method, GraphSteps(list(pretrain_graphs), batch_size=batch_size,
+                               seed=seed),
+            epochs=pretrain_epochs, lr=lr).fit()
     result = TransferResult()
     for dataset in downstream:
         scores = [finetune_roc_auc(method.encoder, dataset,

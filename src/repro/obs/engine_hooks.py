@@ -21,7 +21,7 @@ Counters tracked while enabled:
 Use :func:`engine_stats` to enable collection for a scoped region::
 
     with engine_stats() as engine:
-        train_graph_method(...)
+        Trainer(method, GraphSteps(graphs), epochs=20).fit()
     journal.log("engine", **engine.snapshot())
 """
 

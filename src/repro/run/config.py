@@ -4,9 +4,7 @@ A :class:`RunConfig` captures everything needed to reproduce a training
 run: method + level, dataset + scale, the GradGCL weight ``a``, optimizer
 hyperparameters, early-stopping knobs, pipeline/cache settings, and
 journal/checkpoint cadence.  ``repro run <config.json>`` and
-``repro run --method SimGRACE --weight 0.5 ...`` both build one; the
-``train-graph`` / ``train-node`` / ``sweep`` subcommands are thin shims
-that construct the equivalent config.
+``repro run --method SimGRACE --weight 0.5 ...`` both build one.
 
 Level-dependent defaults (a node run wants ``lr=3e-3`` and ``epochs=40``
 where a graph run wants ``1e-3`` / ``20``) are left as ``None`` in the
@@ -30,8 +28,8 @@ __all__ = ["RunConfig", "CONFIG_FILENAME"]
 
 CONFIG_FILENAME = "config.json"
 
-#: Defaults that depend on the training level, mirroring the historical
-#: ``train-graph`` / ``train-node`` CLI defaults exactly.
+#: Defaults that depend on the training level.  Changing any of them
+#: changes the numbers (and the config hash) of every run that omits it.
 _LEVEL_DEFAULTS = {
     "graph": {"epochs": 20, "lr": 1e-3, "hidden_dim": 16, "out_dim": None,
               "num_layers": 2, "batch_size": 32},

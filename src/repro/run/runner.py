@@ -7,9 +7,7 @@ wrapping, journal + checkpoint wiring, training via the unified
 protocol (SVM for graph embeddings, linear probe for node embeddings).
 
 ``repro run`` calls :func:`execute_run` (or :func:`resume_run` with
-``--resume``); the legacy ``train-graph`` / ``train-node`` / ``sweep``
-subcommands are shims that construct the equivalent config and call the
-same entry points.  Heavy imports (datasets, methods, eval) happen inside
+``--resume``).  Heavy imports (datasets, methods, eval) happen inside
 functions so that importing :mod:`repro.run` stays light.
 """
 

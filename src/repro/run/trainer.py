@@ -1,17 +1,17 @@
-"""The unified training engine behind every experiment in the repo.
+"""The training engine behind every experiment in the repo.
 
-One :class:`Trainer` replaces the two near-duplicate loops that used to
-live in ``repro.methods.trainer``.  The graph/node difference is a small
-*step strategy* object (:class:`GraphSteps`: shuffled minibatch loader
-with an in-batch-negatives check; :class:`NodeSteps`: one full-graph step
-per epoch), and everything that used to be inlined — early stopping,
-journal emission, spectrum probes, user probes, checkpointing — is a
-:class:`repro.run.callbacks.Callback`.
+One :class:`Trainer` trains every method at both levels.  The graph/node
+difference is a small *step strategy* object (:class:`GraphSteps`:
+shuffled minibatch loader with an in-batch-negatives check;
+:class:`NodeSteps`: one full-graph step per epoch), and everything around
+the step — early stopping, journal emission, spectrum probes, user
+probes, checkpointing — is a :class:`repro.run.callbacks.Callback`::
 
-The engine preserves the old loops' numbers exactly: the public wrappers
-``repro.methods.train_graph_method`` / ``train_node_method`` build a
-Trainer and produce bit-identical histories and journals.  On top of that
-it adds checkpoint/resume: with ``checkpoint_every=N`` a
+    history = Trainer(method, GraphSteps(graphs, batch_size=32, seed=0),
+                      epochs=20, lr=1e-3).fit()
+
+``repro run`` builds the same Trainer from a :class:`repro.run.RunConfig`
+(:func:`repro.run.execute_run`).  With ``checkpoint_every=N`` a
 :class:`repro.run.state.TrainState` snapshot (parameters, Adam moments,
 loader/augmentation RNG states, history, config hash) is written to the
 run directory, and ``Trainer.resume(run_dir)`` continues a run such that
@@ -154,6 +154,15 @@ class GraphSteps:
 
     def __init__(self, graphs: Sequence[Graph], *, batch_size: int = 64,
                  seed: int = 0):
+        # Contrastive losses need >= 2 graphs per batch; with these two
+        # checks every epoch holds at least one trainable batch.
+        if batch_size < 2:
+            raise ValueError(
+                f"batch_size must be >= 2 (contrastive losses need in-batch "
+                f"negatives), got {batch_size}")
+        if len(graphs) < 2:
+            raise ValueError(
+                f"graph-level training needs >= 2 graphs, got {len(graphs)}")
         self.graphs = graphs
         self.batch_size = batch_size
         self.seed = seed
@@ -167,8 +176,8 @@ class GraphSteps:
         return self.loader
 
     def batches(self, source):
-        """Yield trainable minibatches (contrastive losses need >= 2
-        in-batch graphs to form negatives)."""
+        """Yield trainable minibatches, skipping a trailing 1-graph batch
+        (contrastive losses need >= 2 in-batch graphs to form negatives)."""
         for batch in source:
             if batch.num_graphs < 2:
                 continue
@@ -247,11 +256,12 @@ class NodeSteps:
 class Trainer:
     """Callback-driven Adam training engine over a step strategy.
 
-    Parameters mirror the historical loop signatures; ``patience`` /
-    ``probe`` / ``journal`` are conveniences that install the matching
-    stock callbacks (:class:`EarlyStopping`, :class:`ProbeCallback`,
-    :class:`JournalCallback`) so the wrapper functions stay one-liners.
-    Additional callbacks run after the stock ones in list order.
+    ``patience`` / ``probe`` / ``journal`` are conveniences that install
+    the matching stock callbacks (:class:`EarlyStopping`,
+    :class:`ProbeCallback`, :class:`JournalCallback`).  Additional
+    callbacks run after the stock ones in list order.  A journal's
+    ``config`` event is written by :meth:`log_config`, which callers
+    invoke before :meth:`fit`.
 
     Checkpointing: pass ``checkpoint_every`` and ``run_dir`` (or a
     :class:`CheckpointCallback`).  ``config_hash`` is stamped into each
@@ -283,9 +293,8 @@ class Trainer:
         self.telemetry = journal is not None
         self.optimizer = Adam(method.parameters(), lr=lr,
                               weight_decay=weight_decay)
-        # Pipeline resolution happens at construction (matching the old
-        # loops' pre-config-event ordering) so resolved workers/prefetch
-        # are available to ``log_config`` before ``fit``.
+        # Pipeline resolution happens at construction so resolved
+        # workers/prefetch are available to ``log_config`` before ``fit``.
         if strategy.kind != "graph":
             workers, prefetch = 0, False
         self.workers, self.prefetch, self.structure_cache = \
@@ -319,7 +328,7 @@ class Trainer:
 
     @staticmethod
     def _resolve_pipeline(method, workers, prefetch, structure_cache):
-        """Normalize the pipeline knobs (identical to the old loops)."""
+        """Normalize the pipeline knobs."""
         workers = resolve_workers(workers)
         if structure_cache is True:
             structure_cache = StructureCache()
@@ -340,8 +349,8 @@ class Trainer:
 
         Method identity, the GradGCL weight, and dtype/fused flags are
         introspected; callers add the run-shape fields (dataset sizes,
-        epochs, lr, ...) — wrappers pass the legacy field set, ``repro
-        run`` passes ``RunConfig.journal_fields()``.  Explicit fields win
+        epochs, lr, ...) — ``repro run`` passes
+        ``RunConfig.journal_fields()``.  Explicit fields win
         over the introspected ones (a config's ``method`` is the registry
         name, which for MVGRLNode differs from the class name).
         """

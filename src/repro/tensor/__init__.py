@@ -32,7 +32,6 @@ from .registry import (
     call,
     fused_kernels,
     get_op,
-    op_impl,
     op_names,
     register_op,
     use_fused,
@@ -47,6 +46,6 @@ __all__ = [
     "dropout_mask",
     "fused_info_nce", "fused_gradient_features", "fused_linear",
     "fused_l2_normalize", "fused_segment_mean",
-    "OpEntry", "register_op", "get_op", "op_names", "call", "op_impl",
+    "OpEntry", "register_op", "get_op", "op_names", "call",
     "fused_kernels", "use_fused",
 ]

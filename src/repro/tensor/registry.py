@@ -6,14 +6,12 @@ exists) the closed-form *fused* kernel side by side.  Call sites stop
 branching on ``use_fused()`` themselves and go through :func:`call`, which
 owns the whole dispatch policy:
 
-1. an explicit ``impl=`` argument at the call site;
-2. a per-op override installed with :func:`op_impl`;
-3. the context-local switch scoped by :func:`fused_kernels`
+1. the context-local switch scoped by :func:`fused_kernels`
    (a :class:`contextvars.ContextVar`, so serve's worker threads and
    concurrent tests cannot race each other's toggles);
-4. the ``REPRO_FUSED`` environment variable, read lazily on every resolve
+2. the ``REPRO_FUSED`` environment variable, read lazily on every resolve
    (changing it after import behaves the same as before import);
-5. fused by default.
+3. fused by default.
 
 Ops whose entry has no fused implementation always run the reference.
 :func:`call` also feeds ``repro.obs`` engine counters with per-op dispatch
@@ -22,8 +20,8 @@ observability layer used to track.
 
 Each entry carries an ``example`` factory producing representative inputs;
 ``tests/tensor/test_registry.py`` iterates the registry and gradchecks
-reference == fused on those examples, so a newly registered op is covered
-automatically.
+each entry's ``reference`` and ``fused`` callables against each other on
+those examples, so a newly registered op is covered automatically.
 """
 
 from __future__ import annotations
@@ -43,10 +41,8 @@ from .tensor import Tensor
 
 __all__ = [
     "OpEntry", "register_op", "get_op", "op_names", "call",
-    "use_fused", "fused_kernels", "op_impl",
+    "use_fused", "fused_kernels",
 ]
-
-_IMPLS = ("reference", "fused")
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +52,6 @@ _IMPLS = ("reference", "fused")
 # Context-local override scoped by fused_kernels(); None means "not scoped".
 _CTX_FUSED: contextvars.ContextVar[bool | None] = contextvars.ContextVar(
     "repro_fused_ctx", default=None)
-
-# Context-local per-op overrides scoped by op_impl(); maps name -> impl.
-_CTX_OP_IMPL: contextvars.ContextVar[dict] = contextvars.ContextVar(
-    "repro_op_impl_ctx", default={})
 
 
 def use_fused() -> bool:
@@ -78,21 +70,6 @@ def fused_kernels(enabled: bool):
         yield
     finally:
         _CTX_FUSED.reset(token)
-
-
-@contextlib.contextmanager
-def op_impl(name: str, which: str):
-    """Force one op to ``"reference"`` or ``"fused"`` within the context."""
-    if which not in _IMPLS:
-        raise ValueError(f"unknown impl {which!r}; choose from {_IMPLS}")
-    get_op(name)  # validate the name eagerly
-    overrides = dict(_CTX_OP_IMPL.get())
-    overrides[name] = which
-    token = _CTX_OP_IMPL.set(overrides)
-    try:
-        yield
-    finally:
-        _CTX_OP_IMPL.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +114,11 @@ def op_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _resolve(entry: OpEntry, impl: str | None) -> str:
-    if impl is None:
-        impl = _CTX_OP_IMPL.get().get(entry.name)
-    if impl is None:
-        impl = "fused" if use_fused() else "reference"
-    elif impl not in _IMPLS:
-        raise ValueError(f"unknown impl {impl!r}; choose from {_IMPLS}")
-    if impl == "fused" and entry.fused is None:
-        impl = "reference"
-    return impl
-
-
-def call(name: str, *args, impl: str | None = None, **kwargs):
-    """Dispatch op ``name`` per policy (or the explicit ``impl`` override)."""
+def call(name: str, *args, **kwargs):
+    """Dispatch op ``name`` per the fused/reference policy."""
     entry = get_op(name)
-    which = _resolve(entry, impl)
+    which = ("fused" if entry.fused is not None and use_fused()
+             else "reference")
     if ENGINE.enabled:
         ENGINE.record_dispatch(name, which)
     fn = entry.fused if which == "fused" else entry.reference

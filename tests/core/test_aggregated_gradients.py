@@ -6,7 +6,8 @@ import pytest
 from repro.core import aggregate_gradient_features, gradgcl
 from repro.datasets import load_node_dataset
 from repro.graph import Graph, adjacency_matrix, row_normalize
-from repro.methods import GRACE, train_node_method
+from repro.methods import GRACE
+from repro.run import NodeSteps, Trainer
 from repro.tensor import Tensor
 
 
@@ -54,7 +55,7 @@ class TestGRACEExtension:
         method = GRACE(ds.num_features, 16, 8, rng=rng,
                        aggregate_gradients=True, max_anchors=64)
         method = gradgcl(method, 0.5)
-        history = train_node_method(method, ds.graph, epochs=3, lr=3e-3)
+        history = Trainer(method, NodeSteps(ds.graph), epochs=3, lr=3e-3).fit()
         assert all(np.isfinite(history.losses))
 
     def test_flag_ignored_without_gradgcl(self):
@@ -62,7 +63,7 @@ class TestGRACEExtension:
         rng = np.random.default_rng(0)
         method = GRACE(ds.num_features, 16, 8, rng=rng,
                        aggregate_gradients=True)
-        history = train_node_method(method, ds.graph, epochs=2, lr=3e-3)
+        history = Trainer(method, NodeSteps(ds.graph), epochs=2, lr=3e-3).fit()
         assert all(np.isfinite(history.losses))
 
     def test_weight_zero_matches_plain_base(self):

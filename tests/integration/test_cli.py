@@ -1,5 +1,6 @@
 """Command-line interface smoke tests."""
 
+import argparse
 import json
 
 import pytest
@@ -17,20 +18,10 @@ SUBCOMMAND_ARGS = {
              "list_methods": False}),
     "datasets": (["datasets", "--family", "tu", "--scale", "tiny"],
                  {"family": "tu", "scale": "tiny"}),
-    "train-graph": (["train-graph", "--method", "GraphCL",
-                     "--weight", "0.25", "--hidden-dim", "8"],
-                    {"method": "GraphCL", "weight": 0.25,
-                     "hidden_dim": 8, "epochs": 20}),
-    "train-node": (["train-node", "--method", "GRACE", "--out-dim", "8",
-                    "--save", "enc.npz"],
-                   {"method": "GRACE", "out_dim": 8, "save": "enc.npz",
-                    "epochs": 40}),
     "spectrum": (["spectrum", "--dataset", "IMDB-B", "--weight", "0.5"],
                  {"dataset": "IMDB-B", "weight": 0.5, "epochs": 60}),
     "flow": (["flow", "--weight", "0.5", "--steps", "20"],
              {"weight": 0.5, "steps": 20, "samples": 32}),
-    "sweep": (["sweep", "--method", "GraphCL", "--weights", "0.0", "0.5"],
-              {"method": "GraphCL", "weights": [0.0, 0.5], "epochs": 15}),
     "report": (["report", "runs/x", "--spectrum-top", "4"],
                {"run_dir": "runs/x", "spectrum_top": 4}),
     "serve": (["serve", "--run-dir", "runs/x", "--port", "8123",
@@ -51,13 +42,28 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_defaults(self):
-        args = build_parser().parse_args(["train-graph"])
-        assert args.method == "SimGRACE"
-        assert args.weight == 0.0
+        from repro.run import RunConfig
+
+        args = build_parser().parse_args(["run"])
+        assert args.method is None and args.weight is None
+        config = RunConfig().resolve()
+        assert config.method == "SimGRACE"
+        assert config.weight == 0.0
 
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["train-graph", "--method", "Nope"])
+            build_parser().parse_args(["run", "--method", "Nope"])
+
+    def test_subcommand_set(self):
+        # ``run`` is the only training entry point; anything else is an
+        # argparse error.
+        parser = build_parser()
+        (sub,) = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert set(sub.choices) == {"run", "datasets", "spectrum", "flow",
+                                    "report", "serve", "embed"}
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train"])
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
     def test_round_trip(self, command):
@@ -101,7 +107,7 @@ class TestCommands:
 
     def test_train_graph_with_gradgcl_and_save(self, tmp_path, capsys):
         ckpt = tmp_path / "enc.npz"
-        code = main(["train-graph", "--method", "GraphCL", "--dataset",
+        code = main(["run", "--method", "GraphCL", "--dataset",
                      "MUTAG", "--weight", "0.5", "--epochs", "2",
                      "--scale", "tiny", "--hidden-dim", "8",
                      "--save", str(ckpt)])
@@ -111,7 +117,7 @@ class TestCommands:
         assert ckpt.exists()
 
     def test_train_node(self, capsys):
-        code = main(["train-node", "--method", "GRACE", "--dataset",
+        code = main(["run", "--method", "GRACE", "--dataset",
                      "Cora", "--epochs", "2", "--scale", "tiny",
                      "--hidden-dim", "16", "--out-dim", "8"])
         assert code == 0
@@ -128,14 +134,6 @@ class TestCommands:
                      "--samples", "10", "--dim", "5"])
         assert code == 0
         assert "gradient flow" in capsys.readouterr().out
-
-    def test_sweep(self, capsys):
-        code = main(["sweep", "--method", "GraphCL", "--dataset", "MUTAG",
-                     "--weights", "0.0", "0.5", "--epochs", "1",
-                     "--scale", "tiny"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "a=0.0" in out and "a=0.5" in out
 
 
 class TestRunCommand:
@@ -205,6 +203,16 @@ class TestRunCommand:
             labels = archive["labels"]
         assert embeddings.dtype == np.float32
         assert embeddings.shape[0] == labels.shape[0] > 0
+
+    def test_run_rejects_batch_size_one(self, tmp_path):
+        # A 1-graph batch has no in-batch negatives, so every batch would
+        # be skipped; the run must fail before it writes anything.
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            main(["run", "--method", "GraphCL", "--dataset", "MUTAG",
+                  "--scale", "tiny", "--epochs", "1", "--batch-size", "1",
+                  "--run-dir", str(run_dir)])
+        assert not run_dir.exists()
 
     def test_run_stop_after_prints_resume_hint(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

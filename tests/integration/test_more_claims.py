@@ -6,8 +6,9 @@ import pytest
 from repro.core import gradgcl
 from repro.datasets import load_molecule_dataset, load_pretrain_dataset, load_tu_dataset
 from repro.gnn import GINEncoder
-from repro.methods import GraphCL, JOAO, train_graph_method
+from repro.methods import GraphCL, JOAO
 from repro.methods.transfer import finetune_roc_auc
+from repro.run import GraphSteps, Trainer
 
 # Hypothesis-heavy / end-to-end suite: deselected by CI tier (b)
 # via -m 'not slow'; `make test-all` runs it.
@@ -25,8 +26,8 @@ class TestTransferClaim:
                            rng=np.random.default_rng(0))
         model = GraphCL(pretrain.num_features, 16, 2,
                         rng=np.random.default_rng(0))
-        train_graph_method(model, pretrain.graphs, epochs=4,
-                           batch_size=32, lr=3e-3, seed=0)
+        Trainer(model, GraphSteps(pretrain.graphs, batch_size=32, seed=0),
+                epochs=4, lr=3e-3).fit()
 
         def mean_auc(encoder):
             return np.mean([
@@ -73,8 +74,8 @@ class TestGradGCLCouplesChannels:
             method = gradgcl(GraphCL(dataset.num_features, 8, 2,
                                      rng=np.random.default_rng(0)), 0.5)
             if epochs:
-                train_graph_method(method, dataset.graphs, epochs=epochs,
-                                   batch_size=16, seed=0)
+                Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                           seed=0), epochs=epochs).fit()
             method._rng = np.random.default_rng(9)
             method.training_loss(GraphBatch(dataset.graphs[:16]))
             return dict(method.objective.last_parts)

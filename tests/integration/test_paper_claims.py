@@ -10,7 +10,8 @@ import pytest
 from repro.core import effective_rank, gradgcl
 from repro.datasets import load_tu_dataset
 from repro.eval import similarity_diversity
-from repro.methods import SimGRACE, train_graph_method
+from repro.methods import SimGRACE
+from repro.run import GraphSteps, Trainer
 from repro.tensor import Tensor
 from repro.core import infonce_gradient_features
 
@@ -32,8 +33,8 @@ def train_simgrace(dataset, weight, seed, *, epochs=30,
                       perturb_magnitude=0.5)
     if weight > 0:
         method = gradgcl(method, weight)
-    train_graph_method(method, dataset.graphs, epochs=epochs, batch_size=64,
-                       lr=3e-3, weight_decay=weight_decay, seed=seed)
+    Trainer(method, GraphSteps(dataset.graphs, batch_size=64, seed=seed),
+            epochs=epochs, lr=3e-3, weight_decay=weight_decay).fit()
     return method
 
 

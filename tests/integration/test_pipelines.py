@@ -11,14 +11,8 @@ from repro.datasets import (
     load_tu_dataset,
 )
 from repro.eval import evaluate_graph_embeddings, evaluate_node_embeddings
-from repro.methods import (
-    GRACE,
-    GraphCL,
-    SimGRACE,
-    run_transfer,
-    train_graph_method,
-    train_node_method,
-)
+from repro.methods import GRACE, GraphCL, SimGRACE, run_transfer
+from repro.run import GraphSteps, NodeSteps, Trainer
 
 # Hypothesis-heavy / end-to-end suite: deselected by CI tier (b)
 # via -m 'not slow'; `make test-all` runs it.
@@ -30,8 +24,8 @@ class TestGraphClassificationPipeline:
         ds = load_tu_dataset("MUTAG", scale="tiny", seed=0)
         rng = np.random.default_rng(0)
         method = SimGRACE(ds.num_features, 8, 2, rng=rng)
-        train_graph_method(method, ds.graphs, epochs=5, batch_size=16,
-                           seed=0)
+        Trainer(method, GraphSteps(ds.graphs, batch_size=16, seed=0),
+                epochs=5).fit()
         acc, std = evaluate_graph_embeddings(method.embed(ds.graphs),
                                              ds.labels(), folds=4,
                                              repeats=2)
@@ -42,8 +36,8 @@ class TestGraphClassificationPipeline:
         ds = load_tu_dataset("IMDB-B", scale="tiny", seed=0)
         rng = np.random.default_rng(0)
         method = gradgcl(GraphCL(ds.num_features, 8, 2, rng=rng), 0.5)
-        train_graph_method(method, ds.graphs, epochs=3, batch_size=16,
-                           seed=0)
+        Trainer(method, GraphSteps(ds.graphs, batch_size=16, seed=0),
+                epochs=3).fit()
         acc, _ = evaluate_graph_embeddings(method.embed(ds.graphs),
                                            ds.labels(), folds=4, repeats=1)
         assert 0.0 <= acc <= 100.0
@@ -54,7 +48,7 @@ class TestNodeClassificationPipeline:
         ds = load_node_dataset("CiteSeer", scale="tiny", seed=0)
         rng = np.random.default_rng(0)
         method = GRACE(ds.num_features, 16, 8, rng=rng)
-        train_node_method(method, ds.graph, epochs=8, lr=3e-3)
+        Trainer(method, NodeSteps(ds.graph), epochs=8, lr=3e-3).fit()
         acc, _ = evaluate_node_embeddings(method.embed(ds.graph),
                                           ds.labels(), ds.train_mask,
                                           ds.test_mask, repeats=1)

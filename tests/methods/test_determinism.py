@@ -6,13 +6,8 @@ import pytest
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset, load_tu_dataset
 from repro.graph import GraphBatch
-from repro.methods import (
-    GRACE,
-    GraphCL,
-    SimGRACE,
-    train_graph_method,
-    train_node_method,
-)
+from repro.methods import GRACE, GraphCL, SimGRACE
+from repro.run import GraphSteps, NodeSteps, Trainer
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +25,8 @@ def run_training(dataset, seed, weight=0.0):
     method = GraphCL(dataset.num_features, 8, 2, rng=rng)
     if weight > 0:
         method = gradgcl(method, weight)
-    history = train_graph_method(method, dataset.graphs, epochs=2,
-                                 batch_size=16, seed=seed)
+    history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                         seed=seed), epochs=2).fit()
     return method, history
 
 
@@ -93,9 +88,8 @@ class TestSimGRACEAndGRACE:
         for _ in range(2):
             rng = np.random.default_rng(3)
             method = SimGRACE(dataset.num_features, 8, 2, rng=rng)
-            histories.append(train_graph_method(method, dataset.graphs,
-                                                epochs=2, batch_size=16,
-                                                seed=3))
+            steps = GraphSteps(dataset.graphs, batch_size=16, seed=3)
+            histories.append(Trainer(method, steps, epochs=2).fit())
         np.testing.assert_allclose(histories[0].losses,
                                    histories[1].losses, atol=1e-12)
 
@@ -104,6 +98,6 @@ class TestSimGRACEAndGRACE:
         for _ in range(2):
             rng = np.random.default_rng(3)
             method = GRACE(node_dataset.num_features, 16, 8, rng=rng)
-            h = train_node_method(method, node_dataset.graph, epochs=2)
+            h = Trainer(method, NodeSteps(node_dataset.graph), epochs=2).fit()
             losses.append(h.losses)
         np.testing.assert_allclose(losses[0], losses[1], atol=1e-12)

@@ -6,15 +6,8 @@ import pytest
 from repro.core import GradGCLObjective, gradgcl
 from repro.datasets import load_tu_dataset
 from repro.graph import GraphBatch
-from repro.methods import (
-    GraphCL,
-    GraphMAE,
-    InfoGraph,
-    JOAO,
-    MVGRL,
-    SimGRACE,
-    train_graph_method,
-)
+from repro.methods import GraphCL, GraphMAE, InfoGraph, JOAO, MVGRL, SimGRACE
+from repro.run import GraphSteps, Trainer
 
 GRAPH_METHODS = [GraphCL, JOAO, SimGRACE, InfoGraph, MVGRL, GraphMAE]
 
@@ -33,8 +26,8 @@ class TestTrainingSmoke:
     @pytest.mark.parametrize("cls", GRAPH_METHODS)
     def test_loss_finite_and_decreases(self, dataset, cls):
         method = build(cls, dataset)
-        history = train_graph_method(method, dataset.graphs, epochs=4,
-                                     batch_size=16, lr=3e-3, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=4, lr=3e-3).fit()
         assert all(np.isfinite(history.losses))
         assert history.losses[-1] <= history.losses[0] + 0.1
 
@@ -48,8 +41,8 @@ class TestTrainingSmoke:
     @pytest.mark.parametrize("cls", GRAPH_METHODS)
     def test_gradgcl_full_pipeline(self, dataset, cls):
         method = gradgcl(build(cls, dataset), weight=0.5)
-        history = train_graph_method(method, dataset.graphs, epochs=2,
-                                     batch_size=16, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=2).fit()
         assert all(np.isfinite(history.losses))
 
     @pytest.mark.parametrize("cls", [GraphCL, SimGRACE])
@@ -57,8 +50,8 @@ class TestTrainingSmoke:
         # a = 1: the gradient channel alone must move the parameters.
         method = gradgcl(build(cls, dataset), weight=1.0)
         before = method.encoder.state_dict()
-        train_graph_method(method, dataset.graphs, epochs=1, batch_size=16,
-                           seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+                epochs=1).fit()
         after = method.encoder.state_dict()
         moved = any(not np.allclose(before[k], after[k]) for k in before)
         assert moved
@@ -89,8 +82,8 @@ class TestMethodSpecifics:
     def test_joao_updates_probabilities(self, dataset):
         method = build(JOAO, dataset)
         initial = method.augmentation_probabilities
-        train_graph_method(method, dataset.graphs, epochs=2, batch_size=16,
-                           seed=0)
+        Trainer(method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+                epochs=2).fit()
         updated = method.augmentation_probabilities
         assert not np.allclose(initial, updated)
         np.testing.assert_allclose(updated.sum(), 1.0)
@@ -119,16 +112,16 @@ class TestMethodSpecifics:
 
     def test_graphmae_reconstruction_improves(self, dataset):
         method = build(GraphMAE, dataset)
-        history = train_graph_method(method, dataset.graphs, epochs=6,
-                                     batch_size=32, lr=3e-3, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=32,
+                                             seed=0), epochs=6, lr=3e-3).fit()
         assert history.losses[-1] < history.losses[0]
 
 
 class TestTrainerContract:
     def test_history_fields(self, dataset):
         method = gradgcl(build(GraphCL, dataset), 0.5)
-        history = train_graph_method(method, dataset.graphs, epochs=3,
-                                     batch_size=16, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=3).fit()
         assert len(history.losses) == 3
         assert len(history.epoch_seconds) == 3
         assert history.total_seconds > 0
@@ -137,14 +130,15 @@ class TestTrainerContract:
 
     def test_probe_called_per_epoch(self, dataset):
         method = build(GraphCL, dataset)
-        history = train_graph_method(
-            method, dataset.graphs, epochs=2, batch_size=16, seed=0,
+        history = Trainer(
+            method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+            epochs=2,
             probe=lambda m: {"norm": float(np.abs(
-                m.encoder.parameters()[0].data).sum())})
+                m.encoder.parameters()[0].data).sum())}).fit()
         assert len(history.probes) == 2
         assert "norm" in history.probes[0]
 
     def test_epochs_validation(self, dataset):
         method = build(GraphCL, dataset)
         with pytest.raises(ValueError):
-            train_graph_method(method, dataset.graphs, epochs=0)
+            Trainer(method, GraphSteps(dataset.graphs), epochs=0).fit()

@@ -6,16 +6,8 @@ import pytest
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset
 from repro.eval import evaluate_node_embeddings
-from repro.methods import (
-    BGRL,
-    COSTA,
-    DGI,
-    GCA,
-    GRACE,
-    MVGRLNode,
-    SGCL,
-    train_node_method,
-)
+from repro.methods import BGRL, COSTA, DGI, GCA, GRACE, MVGRLNode, SGCL
+from repro.run import NodeSteps, Trainer
 
 NODE_METHODS = [GRACE, GCA, BGRL, SGCL, COSTA, MVGRLNode, DGI]
 
@@ -36,8 +28,8 @@ class TestTrainingSmoke:
     @pytest.mark.parametrize("cls", NODE_METHODS)
     def test_loss_finite(self, dataset, cls):
         method = build(cls, dataset)
-        history = train_node_method(method, dataset.graph, epochs=3,
-                                    lr=3e-3)
+        history = Trainer(method, NodeSteps(dataset.graph), epochs=3,
+                          lr=3e-3).fit()
         assert all(np.isfinite(history.losses))
 
     @pytest.mark.parametrize("cls", NODE_METHODS)
@@ -50,13 +42,13 @@ class TestTrainingSmoke:
     @pytest.mark.parametrize("cls", NODE_METHODS)
     def test_gradgcl_wrapping(self, dataset, cls):
         method = gradgcl(build(cls, dataset), weight=0.5)
-        history = train_node_method(method, dataset.graph, epochs=2,
-                                    lr=3e-3)
+        history = Trainer(method, NodeSteps(dataset.graph), epochs=2,
+                          lr=3e-3).fit()
         assert all(np.isfinite(history.losses))
 
     def test_embeddings_beat_chance_after_training(self, dataset):
         method = build(GRACE, dataset, seed=1)
-        train_node_method(method, dataset.graph, epochs=10, lr=3e-3)
+        Trainer(method, NodeSteps(dataset.graph), epochs=10, lr=3e-3).fit()
         emb = method.embed(dataset.graph)
         acc, _ = evaluate_node_embeddings(emb, dataset.labels(),
                                           dataset.train_mask,
@@ -69,7 +61,7 @@ class TestBootstrapSemantics:
     def test_bgrl_target_updates_by_ema(self, dataset):
         method = build(BGRL, dataset)
         before = method.target_encoder.state_dict()
-        train_node_method(method, dataset.graph, epochs=2, lr=1e-2)
+        Trainer(method, NodeSteps(dataset.graph), epochs=2, lr=1e-2).fit()
         after = method.target_encoder.state_dict()
         changed = any(not np.allclose(before[k], after[k]) for k in before)
         assert changed
@@ -78,7 +70,7 @@ class TestBootstrapSemantics:
         method = build(BGRL, dataset, momentum=0.99)
         online_before = method.encoder.state_dict()
         target_before = method.target_encoder.state_dict()
-        train_node_method(method, dataset.graph, epochs=1, lr=1e-2)
+        Trainer(method, NodeSteps(dataset.graph), epochs=1, lr=1e-2).fit()
         online_delta = sum(
             np.abs(method.encoder.state_dict()[k] - online_before[k]).sum()
             for k in online_before)
@@ -95,7 +87,7 @@ class TestBootstrapSemantics:
     def test_sgcl_has_no_ema(self, dataset):
         method = build(SGCL, dataset)
         before = method.target_encoder.state_dict()
-        train_node_method(method, dataset.graph, epochs=2, lr=1e-2)
+        Trainer(method, NodeSteps(dataset.graph), epochs=2, lr=1e-2).fit()
         after = method.target_encoder.state_dict()
         # SGCL never touches the (unused) target encoder.
         assert all(np.allclose(before[k], after[k]) for k in before)

@@ -5,12 +5,8 @@ import pytest
 
 from repro.datasets import load_molecule_dataset, load_pretrain_dataset
 from repro.graph import Graph, GraphBatch
-from repro.methods import (
-    AttrMasking,
-    ContextPred,
-    finetune_roc_auc,
-    train_graph_method,
-)
+from repro.methods import AttrMasking, ContextPred, finetune_roc_auc
+from repro.run import GraphSteps, Trainer
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +18,8 @@ class TestAttrMasking:
     def test_loss_decreases(self, pretrain):
         rng = np.random.default_rng(0)
         method = AttrMasking(pretrain.num_features, 16, 2, rng=rng)
-        history = train_graph_method(method, pretrain.graphs, epochs=4,
-                                     batch_size=32, lr=3e-3, seed=0)
+        history = Trainer(method, GraphSteps(pretrain.graphs, batch_size=32,
+                                             seed=0), epochs=4, lr=3e-3).fit()
         assert history.losses[-1] < history.losses[0]
 
     def test_loss_below_uniform_after_training(self, pretrain):
@@ -31,8 +27,8 @@ class TestAttrMasking:
         # learning the masked types must beat that.
         rng = np.random.default_rng(0)
         method = AttrMasking(pretrain.num_features, 16, 2, rng=rng)
-        history = train_graph_method(method, pretrain.graphs, epochs=6,
-                                     batch_size=32, lr=3e-3, seed=0)
+        history = Trainer(method, GraphSteps(pretrain.graphs, batch_size=32,
+                                             seed=0), epochs=6, lr=3e-3).fit()
         assert history.losses[-1] < np.log(pretrain.num_features)
 
     def test_mask_ratio_validation(self, pretrain):
@@ -43,8 +39,8 @@ class TestAttrMasking:
     def test_encoder_transfers(self, pretrain):
         rng = np.random.default_rng(0)
         method = AttrMasking(pretrain.num_features, 16, 2, rng=rng)
-        train_graph_method(method, pretrain.graphs, epochs=3,
-                           batch_size=32, lr=3e-3, seed=0)
+        Trainer(method, GraphSteps(pretrain.graphs, batch_size=32, seed=0),
+                epochs=3, lr=3e-3).fit()
         downstream = load_molecule_dataset("BBBP", scale="tiny", seed=0)
         auc = finetune_roc_auc(method.encoder, downstream, epochs=5,
                                lr=3e-3, seed=0)
@@ -55,8 +51,8 @@ class TestContextPred:
     def test_loss_decreases(self, pretrain):
         rng = np.random.default_rng(0)
         method = ContextPred(pretrain.num_features, 16, 2, rng=rng)
-        history = train_graph_method(method, pretrain.graphs, epochs=4,
-                                     batch_size=32, lr=3e-3, seed=0)
+        history = Trainer(method, GraphSteps(pretrain.graphs, batch_size=32,
+                                             seed=0), epochs=4, lr=3e-3).fit()
         assert history.losses[-1] < history.losses[0]
 
     def test_loss_below_chance(self, pretrain):
@@ -64,8 +60,8 @@ class TestContextPred:
         # training must get below it.
         rng = np.random.default_rng(0)
         method = ContextPred(pretrain.num_features, 16, 2, rng=rng)
-        history = train_graph_method(method, pretrain.graphs, epochs=12,
-                                     batch_size=32, lr=1e-2, seed=0)
+        history = Trainer(method, GraphSteps(pretrain.graphs, batch_size=32,
+                                             seed=0), epochs=12, lr=1e-2).fit()
         assert history.losses[-1] < 2.0 * np.log(2.0)
 
     def test_rejects_edgeless_batch(self):

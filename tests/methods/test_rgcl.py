@@ -6,7 +6,8 @@ import pytest
 from repro.core import gradgcl
 from repro.datasets import load_tu_dataset
 from repro.graph import GraphBatch
-from repro.methods import RGCL, train_graph_method
+from repro.methods import RGCL
+from repro.run import GraphSteps, Trainer
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +66,14 @@ class TestAugmentation:
 class TestTraining:
     def test_loss_finite(self, dataset):
         method = build(dataset)
-        history = train_graph_method(method, dataset.graphs, epochs=2,
-                                     batch_size=16, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=2).fit()
         assert all(np.isfinite(history.losses))
 
     def test_gradgcl_wrapping(self, dataset):
         method = gradgcl(build(dataset), 0.5)
-        history = train_graph_method(method, dataset.graphs, epochs=1,
-                                     batch_size=16, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=1).fit()
         assert all(np.isfinite(history.losses))
 
     def test_embeddings(self, dataset):

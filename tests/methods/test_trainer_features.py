@@ -5,9 +5,9 @@ import pytest
 
 from repro.datasets import load_tu_dataset
 from repro.graph import GraphBatch
-from repro.methods import GraphCL, train_graph_method, train_node_method
-from repro.methods.trainer import clip_gradients
+from repro.methods import GraphCL
 from repro.nn import Parameter
+from repro.run import GraphSteps, Trainer, clip_gradients
 from repro.tensor import Tensor
 
 
@@ -52,16 +52,16 @@ class TestEarlyStopping:
         method = GraphCL(dataset.num_features, 8, 2, rng=rng)
         # Huge min_delta means "never improves" after the first epoch
         # establishes the best loss -> stop after 1 + patience epochs.
-        history = train_graph_method(method, dataset.graphs, epochs=30,
-                                     batch_size=16, seed=0, patience=2,
-                                     min_delta=100.0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=30, patience=2,
+                          min_delta=100.0).fit()
         assert len(history.losses) == 3
 
     def test_runs_full_without_patience(self, dataset):
         rng = np.random.default_rng(0)
         method = GraphCL(dataset.num_features, 8, 2, rng=rng)
-        history = train_graph_method(method, dataset.graphs, epochs=3,
-                                     batch_size=16, seed=0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=3).fit()
         assert len(history.losses) == 3
 
 
@@ -74,14 +74,15 @@ class TestNonFiniteGuard:
         rng = np.random.default_rng(0)
         method = self.ExplodingMethod(dataset.num_features, 8, 2, rng=rng)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            train_graph_method(method, dataset.graphs, epochs=1,
-                               batch_size=16, seed=0)
+            Trainer(method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+                    epochs=1).fit()
 
 
 class TestGradClipIntegration:
     def test_training_with_clip_converges(self, dataset):
         rng = np.random.default_rng(0)
         method = GraphCL(dataset.num_features, 8, 2, rng=rng)
-        history = train_graph_method(method, dataset.graphs, epochs=3,
-                                     batch_size=16, seed=0, grad_clip=1.0)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=3,
+                          grad_clip=1.0).fit()
         assert all(np.isfinite(history.losses))

@@ -11,9 +11,9 @@ import numpy as np
 
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset, load_tu_dataset
-from repro.methods import GRACE, GraphCL, train_graph_method, \
-    train_node_method
+from repro.methods import GRACE, GraphCL
 from repro.obs import RunJournal, events_of, validate_journal
+from repro.run import GraphSteps, NodeSteps, Trainer
 
 # Wall-clock-dependent fields, stripped before determinism comparisons.
 NONDETERMINISTIC_KEYS = {"ts", "seconds", "total_seconds", "graphs_per_sec",
@@ -26,8 +26,12 @@ def _train_graph(tmp_path, name, epochs=2):
                              rng=np.random.default_rng(0)), 0.5)
     run_dir = tmp_path / name
     with RunJournal(run_dir) as journal:
-        history = train_graph_method(method, dataset.graphs, epochs=epochs,
-                                     batch_size=16, seed=0, journal=journal)
+        trainer = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=epochs,
+                          journal=journal)
+        trainer.log_config(num_graphs=len(dataset.graphs), epochs=epochs,
+                           batch_size=16, seed=0)
+        history = trainer.fit()
     return history, validate_journal(run_dir)
 
 
@@ -91,8 +95,9 @@ class TestGraphTrainerJournal:
         def run(journal):
             method = gradgcl(GraphCL(dataset.num_features, 8, 2,
                                      rng=np.random.default_rng(0)), 0.5)
-            return train_graph_method(method, dataset.graphs, epochs=2,
-                                      batch_size=16, seed=0, journal=journal)
+            return Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                              seed=0), epochs=2,
+                           journal=journal).fit()
 
         silent = run(None)
         with RunJournal(tmp_path / "observed") as journal:
@@ -105,9 +110,8 @@ class TestGraphTrainerJournal:
         method = gradgcl(GraphCL(dataset.num_features, 8, 2,
                                  rng=np.random.default_rng(0)), 0.5)
         with RunJournal(tmp_path / "clip") as journal:
-            train_graph_method(method, dataset.graphs, epochs=1,
-                               batch_size=16, seed=0, grad_clip=1e-6,
-                               journal=journal)
+            Trainer(method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+                    epochs=1, grad_clip=1e-6, journal=journal).fit()
         (epoch,) = events_of(validate_journal(tmp_path / "clip"), "epoch")
         # Pre-clip norms are orders of magnitude above the tiny cap.
         assert epoch["grad_norm"] > 1e-3
@@ -117,9 +121,8 @@ class TestGraphTrainerJournal:
         method = GraphCL(dataset.num_features, 8, 2,
                          rng=np.random.default_rng(0))
         with RunJournal(tmp_path / "sp") as journal:
-            train_graph_method(method, dataset.graphs, epochs=4,
-                               batch_size=16, seed=0, journal=journal,
-                               spectrum_every=2)
+            Trainer(method, GraphSteps(dataset.graphs, batch_size=16, seed=0),
+                    epochs=4, journal=journal, spectrum_every=2).fit()
         spectra = events_of(validate_journal(tmp_path / "sp"), "spectrum")
         assert [s["epoch"] for s in spectra] == [1, 3]
 
@@ -130,8 +133,11 @@ class TestNodeTrainerJournal:
         method = gradgcl(GRACE(dataset.num_features, 16, 8,
                                rng=np.random.default_rng(0)), 0.2)
         with RunJournal(tmp_path / "node") as journal:
-            train_node_method(method, dataset.graph, epochs=2, lr=3e-3,
-                              journal=journal)
+            trainer = Trainer(method, NodeSteps(dataset.graph), epochs=2,
+                              lr=3e-3, journal=journal)
+            trainer.log_config(num_nodes=dataset.graph.num_nodes, epochs=2,
+                               lr=3e-3)
+            trainer.fit()
         events = validate_journal(tmp_path / "node")
         (config,) = events_of(events, "config")
         assert config["kind"] == "node"
@@ -150,6 +156,7 @@ class TestNodeTrainerJournal:
         dataset = load_node_dataset("Cora", scale="tiny", seed=0)
         method = GRACE(dataset.num_features, 16, 8,
                        rng=np.random.default_rng(0))
-        history = train_node_method(method, dataset.graph, epochs=2, lr=3e-3)
+        history = Trainer(method, NodeSteps(dataset.graph), epochs=2,
+                          lr=3e-3).fit()
         assert len(history.losses) == 2
         assert history.grad_norms == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_tu_dataset
-from repro.methods import GraphCL, JOAO, train_graph_method
+from repro.methods import GraphCL, JOAO
 from repro.pipeline import (
     ViewGenerator,
     resolve_workers,
@@ -12,6 +12,7 @@ from repro.pipeline import (
     stream_from_key,
     view_stream_keys,
 )
+from repro.run import GraphSteps, Trainer
 from repro.utils.seed import seeded_rng
 
 
@@ -118,8 +119,8 @@ class TestViewGenerator:
 class TestWorkerCountDeterminism:
     def run(self, dataset, method_cls, **kwargs):
         method = method_cls(dataset.num_features, 16, 2, rng=seeded_rng(0))
-        history = train_graph_method(method, dataset.graphs, epochs=2,
-                                     batch_size=16, seed=0, **kwargs)
+        history = Trainer(method, GraphSteps(dataset.graphs, batch_size=16,
+                                             seed=0), epochs=2, **kwargs).fit()
         return history.losses
 
     def test_epoch_losses_identical_across_workers(self, dataset):

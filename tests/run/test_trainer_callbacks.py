@@ -1,13 +1,10 @@
-"""Unified Trainer: callback protocol, step strategies, wrapper parity."""
-
-import inspect
+"""Unified Trainer: callback protocol, step strategies, one training path."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_node_dataset, load_tu_dataset
-from repro.methods import GRACE, GraphCL, train_graph_method, \
-    train_node_method
+from repro.methods import GRACE, GraphCL
 from repro.run import Callback, EarlyStopping, GraphSteps, NodeSteps, \
     ProbeCallback, Trainer
 
@@ -127,6 +124,61 @@ class TestCallbackProtocol:
             Trainer(method, GraphSteps(graph_dataset.graphs), epochs=0)
 
 
+class TestGraphStrategy:
+    """Every graph-level epoch holds at least one trainable batch."""
+
+    def test_batch_size_below_two_rejected(self, graph_dataset):
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            GraphSteps(graph_dataset.graphs, batch_size=1)
+
+    def test_single_graph_rejected(self, graph_dataset):
+        with pytest.raises(ValueError, match="needs >= 2 graphs"):
+            GraphSteps(graph_dataset.graphs[:1], batch_size=4)
+
+    def test_trailing_single_graph_batch_skipped(self, graph_dataset):
+        # 3 graphs in batches of 2: the trailing 1-graph batch is skipped,
+        # the epoch still trains on the first batch.
+        method = _graph_method(graph_dataset)
+        history = Trainer(method, GraphSteps(graph_dataset.graphs[:3],
+                                             batch_size=2, seed=0),
+                          epochs=2).fit()
+        assert len(history.losses) == 2
+        assert all(np.isfinite(history.losses))
+
+
+class TestOneTrainingPath:
+    """``execute_run`` is a RunConfig around the same Trainer callers build
+    by hand: identical configurations give identical losses."""
+
+    def test_graph_run_matches_hand_built_trainer(self, graph_dataset):
+        from repro.core import gradgcl
+        from repro.run import RunConfig, execute_run
+
+        config = RunConfig(method="GraphCL", dataset="MUTAG", scale="tiny",
+                           weight=0.5, epochs=2, hidden_dim=8)
+        result = execute_run(config)
+        method = gradgcl(_graph_method(graph_dataset), 0.5)
+        history = Trainer(method, GraphSteps(graph_dataset.graphs,
+                                             batch_size=32, seed=0),
+                          epochs=2, lr=1e-3).fit()
+        assert result.history.losses == history.losses
+        assert result.history.parts == history.parts
+
+    def test_node_run_matches_hand_built_trainer(self, node_dataset):
+        from repro.core import gradgcl
+        from repro.run import RunConfig, execute_run
+
+        config = RunConfig(method="GRACE", dataset="Cora", scale="tiny",
+                           weight=0.5, epochs=2, hidden_dim=16, out_dim=8)
+        result = execute_run(config)
+        method = gradgcl(GRACE(node_dataset.num_features, 16, 8,
+                               rng=np.random.default_rng(0)), 0.5)
+        history = Trainer(method, NodeSteps(node_dataset.graph), epochs=2,
+                          lr=3e-3).fit()
+        assert result.history.losses == history.losses
+        assert result.history.parts == history.parts
+
+
 class TestNodeStrategy:
     def test_node_early_stopping(self, node_dataset):
         # Regression: the old node loop had no early stopping at all.
@@ -134,14 +186,15 @@ class TestNodeStrategy:
         # sets the best loss -> stop after 1 + patience epochs.
         method = GRACE(node_dataset.num_features, 16, 8,
                        rng=np.random.default_rng(0))
-        history = train_node_method(method, node_dataset.graph, epochs=30,
-                                    patience=2, min_delta=100.0)
+        history = Trainer(method, NodeSteps(node_dataset.graph), epochs=30,
+                          patience=2, min_delta=100.0).fit()
         assert len(history.losses) == 3
 
     def test_node_runs_full_without_patience(self, node_dataset):
         method = GRACE(node_dataset.num_features, 16, 8,
                        rng=np.random.default_rng(0))
-        history = train_node_method(method, node_dataset.graph, epochs=3)
+        history = Trainer(method, NodeSteps(node_dataset.graph),
+                          epochs=3).fit()
         assert len(history.losses) == 3
 
     def test_node_strategy_forces_serial_pipeline(self, node_dataset):
@@ -157,38 +210,6 @@ class TestNodeStrategy:
 
         method = gradgcl(GRACE(node_dataset.num_features, 16, 8,
                                rng=np.random.default_rng(0)), 0.3)
-        history = train_node_method(method, node_dataset.graph, epochs=1)
+        history = Trainer(method, NodeSteps(node_dataset.graph),
+                          epochs=1).fit()
         assert list(history.parts[0]) == sorted(history.parts[0])
-
-
-class TestWrapperParity:
-    """The legacy wrappers stay thin and signature-stable."""
-
-    def test_graph_wrapper_signature(self):
-        params = inspect.signature(train_graph_method).parameters
-        defaults = {name: p.default for name, p in params.items()}
-        assert defaults["epochs"] == 20
-        assert defaults["batch_size"] == 64
-        assert defaults["lr"] == pytest.approx(1e-3)
-        assert defaults["seed"] == 0
-        assert defaults["grad_clip"] is None
-        assert defaults["patience"] is None
-
-    def test_node_wrapper_signature(self):
-        params = inspect.signature(train_node_method).parameters
-        defaults = {name: p.default for name, p in params.items()}
-        assert defaults["epochs"] == 50
-        assert defaults["lr"] == pytest.approx(1e-3)
-        assert defaults["patience"] is None
-        assert defaults["min_delta"] == pytest.approx(1e-4)
-
-    def test_wrapper_matches_direct_trainer(self, graph_dataset):
-        wrapped = train_graph_method(
-            _graph_method(graph_dataset), graph_dataset.graphs, epochs=2,
-            batch_size=16, seed=0)
-        trainer = Trainer(_graph_method(graph_dataset),
-                          GraphSteps(graph_dataset.graphs, batch_size=16,
-                                     seed=0), epochs=2)
-        direct = trainer.fit()
-        assert wrapped.losses == direct.losses
-        assert wrapped.parts == direct.parts

@@ -19,7 +19,6 @@ from repro.tensor import (
     get_op,
     is_grad_enabled,
     no_grad,
-    op_impl,
     op_names,
     use_fused,
 )
@@ -66,14 +65,6 @@ class TestRegistryContract:
         with pytest.raises(KeyError, match="registered"):
             call("no_such_op")
 
-    def test_unknown_impl_rejected(self):
-        x = Tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="unknown impl"):
-            call("l2_normalize", x, impl="vectorized")
-        with pytest.raises(ValueError, match="unknown impl"):
-            with op_impl("l2_normalize", "vectorized"):
-                pass
-
 
 class TestEquivalence:
     """reference == fused (forward + backward) on every registered example."""
@@ -84,7 +75,7 @@ class TestEquivalence:
         for which in ("reference", "fused"):
             args, kwargs = _case(name, index)
             leaves = _leaves(args)
-            out = call(name, *args, impl=which, **kwargs)
+            out = getattr(get_op(name), which)(*args, **kwargs)
             _scalarize(name, out).backward()
             results[which] = (np.copy(out.data), [t.grad for t in leaves])
         out_f, grads_f = results["fused"]
@@ -100,7 +91,8 @@ class TestEquivalence:
         args, kwargs = _case(name, index)
         leaves = _leaves(args)
         assert_gradients_match(
-            lambda: _scalarize(name, call(name, *args, impl=which, **kwargs)),
+            lambda: _scalarize(name,
+                               getattr(get_op(name), which)(*args, **kwargs)),
             *leaves)
 
 
@@ -115,20 +107,6 @@ class TestDispatchPolicy:
         dispatch = engine.snapshot()["dispatch"]
         assert dispatch["l2_normalize.fused"] == 1
         assert dispatch["l2_normalize.reference"] == 1
-
-    def test_op_impl_overrides_global_switch(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
-        with engine_stats() as engine:
-            with fused_kernels(True), op_impl("l2_normalize", "reference"):
-                call("l2_normalize", x)
-        assert engine.dispatch == {"l2_normalize.reference": 1}
-
-    def test_explicit_impl_beats_op_impl(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
-        with engine_stats() as engine:
-            with op_impl("l2_normalize", "reference"):
-                call("l2_normalize", x, impl="fused")
-        assert engine.dispatch == {"l2_normalize.fused": 1}
 
     def test_env_variable_read_lazily(self, monkeypatch):
         """REPRO_FUSED set *after* import must still steer dispatch."""
