@@ -16,7 +16,7 @@ from repro.eval import evaluate_graph_embeddings
 from repro.losses import alignment_value, uniformity_value
 from repro.methods import SimGRACE
 from repro.run import GraphSteps, Trainer
-from repro.tensor import Tensor, no_grad
+from repro.tensor import no_grad
 
 from .common import config, report, run_once
 

@@ -8,8 +8,6 @@ Shape target (paper): the curve improves over the baseline for a wide range
 of a; the optimal a varies per model/dataset.
 """
 
-import numpy as np
-
 from repro.datasets import load_tu_dataset
 from repro.methods import GraphCL, JOAO, SimGRACE
 

@@ -8,8 +8,6 @@ Shape targets (paper): GCL beats the classic baselines; XXX(g) is
 competitive with XXX; XXX(f+g) improves on XXX for most cells.
 """
 
-import numpy as np
-
 from repro.baselines import (
     dgk_features,
     graph2vec_features,

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """AST-based repo lint for CI tier (a).
 
-Four rules, all cheap and all aimed at keeping the library embeddable and
-deterministic:
+Nine rules, all cheap; the first eight keep the library embeddable and
+deterministic, the ninth keeps every tree free of dead imports:
 
 1. **No ``print()`` in the library** — ``src/repro/`` must stay silent so it
    can run inside servers and benchmark harnesses; all terminal output
@@ -45,6 +45,12 @@ deterministic:
    call sites is how the batcher's close/submit hang slipped in: each
    site reinvents expiry, clamping, and the never-expires case.  Build a
    ``Deadline`` and ask it for ``remaining()`` instead.
+9. **No imported name left unused** in ``src/``, ``tests/``,
+   ``benchmarks/``, ``examples/`` and ``scripts/`` — a dead import is a
+   stale dependency edge that outlives the code that needed it.  Package
+   ``__init__.py`` re-exports, names listed in ``__all__`` and
+   ``from __future__`` imports are exempt; a name counts as used when it
+   appears anywhere in the module, string annotations included.
 
 Exit status is the number of violations (0 = clean).  Run from the repo
 root::
@@ -55,7 +61,6 @@ root::
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +88,9 @@ MONOTONIC_ALLOWED_DIRS = (LIBRARY / "faults",)
 
 # The registry owns kernel dispatch; nothing else may branch on the switch.
 USE_FUSED_BRANCH_ALLOWED = {LIBRARY / "tensor" / "registry.py"}
+
+# Trees scanned for unused imports (rule 9); the library rules scan src/.
+IMPORT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts")
 
 
 def _under(path: Path, dirs: tuple[Path, ...]) -> bool:
@@ -166,6 +174,66 @@ def _is_np_random_call(node: ast.Call) -> bool:
             and middle.attr == "random"
             and isinstance(middle.value, ast.Name)
             and middle.value.id in ("np", "numpy"))
+
+
+def _all_names(tree: ast.AST) -> set[str]:
+    """String entries of every ``__all__`` list/tuple in the module."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in getattr(node, "targets", [getattr(
+                            node, "target", None)]))
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            names.update(elt.value for elt in node.value.elts
+                         if isinstance(elt, ast.Constant))
+    return names
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, including inside string annotations."""
+    used: set[str] = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(n.id for n in ast.walk(parsed)
+                            if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(path: Path, tree: ast.AST) -> list[str]:
+    """Rule 9: imported names the module never uses."""
+    if path.name == "__init__.py":
+        return []
+    exempt = _all_names(tree)
+    used = _used_names(tree)
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used and bound not in exempt:
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{node.lineno}: "
+                    f"unused import {bound!r} — delete it")
+    return problems
 
 
 def check_file(path: Path) -> list[str]:
@@ -252,10 +320,17 @@ def main() -> int:
     problems: list[str] = []
     for path in sorted((REPO_ROOT / "src").rglob("*.py")):
         problems.extend(check_file(path))
+    for tree_dir in IMPORT_SCAN_DIRS:
+        for path in sorted((REPO_ROOT / tree_dir).rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text(), filename=str(path))
+            except SyntaxError:
+                continue          # reported by check_file / compileall
+            problems.extend(unused_imports(path, tree))
     for problem in problems:
         print(problem)
     if not problems:
-        print(f"lint_repro: clean ({LIBRARY.relative_to(REPO_ROOT)})")
+        print("lint_repro: clean (" + ", ".join(IMPORT_SCAN_DIRS) + ")")
     return len(problems)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import Graph
+from ..utils.seed import RawIntegers
 from .base import BatchedAugmentation, ViewArrays
 
 __all__ = ["NodeDrop", "EdgePerturb", "SubgraphSample"]
@@ -171,34 +172,38 @@ class SubgraphSample(BatchedAugmentation):
 
     def draw(self, graph: Graph, rng: np.random.Generator) -> np.ndarray:
         """The walk itself: it branches on what it has visited, so it runs
-        per graph; only the relabelling is batched."""
+        per graph; only the relabelling is batched.  Its draws are the
+        ``rng.integers`` / ``rng.choice`` calls of a plain walk, replayed by
+        :class:`repro.utils.seed.RawIntegers`."""
         n = graph.num_nodes
         target = max(1, int(round(n * self.keep_ratio)))
         neighbors = _neighbor_lists(graph)
         visited = [False] * n
-        start = int(rng.integers(0, n))
-        visited[start] = True
-        num_visited = 1
-        frontier = [start]
-        # Random-walk-with-restart style expansion until the target size.
-        while num_visited < target:
-            if not frontier:
-                # Disconnected remainder: jump to a fresh random node.
-                remaining = np.flatnonzero(np.logical_not(visited))
-                fresh = int(rng.choice(remaining))
-                visited[fresh] = True
+        with RawIntegers(rng) as randint:
+            start = randint(n)
+            visited[start] = True
+            num_visited = 1
+            frontier = [start]
+            # Random-walk-with-restart style expansion until the target size.
+            while num_visited < target:
+                if not frontier:
+                    # Disconnected remainder: jump to a fresh random node
+                    # (``rng.choice`` over the unvisited ids draws this way).
+                    remaining = [v for v in range(n) if not visited[v]]
+                    fresh = remaining[randint(len(remaining))]
+                    visited[fresh] = True
+                    num_visited += 1
+                    frontier.append(fresh)
+                    continue
+                current = frontier[randint(len(frontier))]
+                options = [v for v in neighbors[current] if not visited[v]]
+                if not options:
+                    frontier.remove(current)
+                    continue
+                nxt = options[randint(len(options))]
+                visited[nxt] = True
                 num_visited += 1
-                frontier.append(fresh)
-                continue
-            current = frontier[int(rng.integers(0, len(frontier)))]
-            options = [v for v in neighbors[current] if not visited[v]]
-            if not options:
-                frontier.remove(current)
-                continue
-            nxt = options[int(rng.integers(0, len(options)))]
-            visited[nxt] = True
-            num_visited += 1
-            frontier.append(nxt)
+                frontier.append(nxt)
         return np.flatnonzero(visited)
 
     def apply(self, views: ViewArrays, plans: list) -> None:

@@ -50,8 +50,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Sequence
 
+from repro.run.config import ConfigError
 from repro.run.registry import method_names
 from repro.utils.seed import seeded_rng
 
@@ -578,7 +580,13 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        # A run that cannot start is a usage error, reported the way
+        # argparse reports one; errors raised while training propagate.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

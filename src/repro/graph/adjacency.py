@@ -37,20 +37,29 @@ def add_self_loops(adj: sp.spmatrix) -> sp.csr_matrix:
     return (adj + sp.identity(adj.shape[0], format="csr")).tocsr()
 
 
+def _positive_degrees(adj: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of nodes with positive degree, and the degrees with the others
+    (isolated nodes) set to 1 so inverting them raises no divide-by-zero;
+    callers zero those entries through the mask."""
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    positive = degrees > 0
+    return positive, np.where(positive, degrees, 1)
+
+
 def gcn_normalize(adj: sp.spmatrix, self_loops: bool = True) -> sp.csr_matrix:
     """Kipf-GCN symmetric normalization ``D^-1/2 (A + I) D^-1/2``."""
     if self_loops:
         adj = add_self_loops(adj)
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv_sqrt = np.where(degrees > 0, degrees ** -0.5, 0.0)
+    positive, degrees = _positive_degrees(adj)
+    inv_sqrt = np.where(positive, degrees ** -0.5, 0.0)
     d_inv = sp.diags(inv_sqrt)
     return (d_inv @ adj @ d_inv).tocsr()
 
 
 def row_normalize(adj: sp.spmatrix) -> sp.csr_matrix:
     """Random-walk normalization ``D^-1 A``."""
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv = np.where(degrees > 0, 1.0 / degrees, 0.0)
+    positive, degrees = _positive_degrees(adj)
+    inv = np.where(positive, 1.0 / degrees, 0.0)
     return (sp.diags(inv) @ adj).tocsr()
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, l2_normalize, log_softmax, softmax
+from ..tensor import Tensor, l2_normalize, softmax
 
 __all__ = ["hard_negative_info_nce"]
 

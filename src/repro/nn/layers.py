@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..tensor import Tensor, call, dropout_mask
+from ..tensor.fused import batch_moments
 from . import init as init_schemes
 from .module import Module, ModuleList, Parameter
 
@@ -46,7 +47,13 @@ class Linear(Module):
 
 
 class BatchNorm1d(Module):
-    """Batch normalization over the feature axis with running statistics."""
+    """Batch normalization over the feature axis with running statistics.
+
+    Training mode dispatches through the op registry (``"batch_norm"``:
+    the fused single-node kernel or the primitive reference composition)
+    and updates the running statistics from the same batch moments; eval
+    mode normalizes with the running statistics by primitive composition.
+    """
 
     _buffer_attrs = ("running_mean", "running_var")
 
@@ -68,15 +75,14 @@ class BatchNorm1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            var = x.var(axis=0, keepdims=True)
+            mean, var = batch_moments(x.data)
             self.running_mean *= 1 - self.momentum
-            self.running_mean += self.momentum * mean.data.ravel()
+            self.running_mean += self.momentum * mean.ravel()
             self.running_var *= 1 - self.momentum
-            self.running_var += self.momentum * var.data.ravel()
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1))
-            var = Tensor(self.running_var.reshape(1, -1))
+            self.running_var += self.momentum * var.ravel()
+            return call("batch_norm", x, self.gamma, self.beta, self.eps)
+        mean = Tensor(self.running_mean.reshape(1, -1))
+        var = Tensor(self.running_var.reshape(1, -1))
         normalized = (x - mean) / (var + self.eps).sqrt()
         return normalized * self.gamma + self.beta
 

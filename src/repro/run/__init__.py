@@ -26,7 +26,7 @@ from .callbacks import (
     StopAfter,
     TrainingInterrupted,
 )
-from .config import CONFIG_FILENAME, RunConfig
+from .config import CONFIG_FILENAME, ConfigError, RunConfig
 from .registry import (
     MethodEntry,
     get_method,
@@ -49,7 +49,7 @@ from .trainer import (
 __all__ = [
     "register_method", "get_method", "list_methods", "method_names",
     "method_levels", "MethodEntry",
-    "RunConfig", "CONFIG_FILENAME",
+    "RunConfig", "CONFIG_FILENAME", "ConfigError",
     "Trainer", "TrainHistory", "GraphSteps", "NodeSteps",
     "gradient_norm", "clip_gradients",
     "Callback", "EarlyStopping", "ProbeCallback", "JournalCallback",

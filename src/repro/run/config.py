@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .registry import get_method, method_levels
 
-__all__ = ["RunConfig", "CONFIG_FILENAME"]
+__all__ = ["RunConfig", "CONFIG_FILENAME", "ConfigError"]
 
 CONFIG_FILENAME = "config.json"
 
@@ -36,6 +36,10 @@ _LEVEL_DEFAULTS = {
     "node": {"epochs": 40, "lr": 3e-3, "hidden_dim": 32, "out_dim": 16,
              "num_layers": None, "batch_size": None},
 }
+
+
+class ConfigError(ValueError):
+    """A run configuration that cannot start; raised before any training."""
 
 
 @dataclass(frozen=True)
@@ -72,20 +76,20 @@ class RunConfig:
     # ------------------------------------------------------------------
     def __post_init__(self):
         if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"weight must be in [0, 1], got {self.weight}")
         if self.epochs is not None and self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.level is not None and self.level not in ("graph", "node"):
-            raise ValueError(
+            raise ConfigError(
                 f"level must be 'graph' or 'node', got {self.level!r}")
         if self.checkpoint_every is not None:
             if self.checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1, got "
-                                 f"{self.checkpoint_every}")
+                raise ConfigError("checkpoint_every must be >= 1, got "
+                                  f"{self.checkpoint_every}")
             if self.run_dir is None:
-                raise ValueError("checkpoint_every requires run_dir (the "
-                                 "checkpoint lives in the run directory)")
+                raise ConfigError("checkpoint_every requires run_dir (the "
+                                  "checkpoint lives in the run directory)")
 
     def resolve(self) -> "RunConfig":
         """Fill level-dependent defaults; validate against the registry.
@@ -101,7 +105,7 @@ class RunConfig:
             if not levels:
                 get_method(self.method)  # raises KeyError with known names
             if len(levels) > 1:
-                raise ValueError(
+                raise ConfigError(
                     f"method {self.method!r} trains at levels {levels}; "
                     "set level explicitly")
             level = levels[0]
@@ -126,7 +130,7 @@ class RunConfig:
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown RunConfig field(s) {sorted(unknown)}; "
                 f"known fields: {sorted(known)}")
         return cls(**data)

@@ -18,6 +18,7 @@ in the error message.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 
@@ -129,7 +130,7 @@ def register_method(name: str, *, level: str, summary: str = ""):
 def _ensure_populated() -> None:
     """Trigger the registration side effects of :mod:`repro.methods`."""
     if not _REGISTRY:
-        import repro.methods  # noqa: F401  (registers via decorators)
+        importlib.import_module("repro.methods")
 
 
 def get_method(name: str, level: str | None = None) -> MethodEntry:

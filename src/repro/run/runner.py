@@ -20,7 +20,7 @@ from pathlib import Path
 from ..faults import FaultInjected
 from ..faults import record as _record_fault
 from .callbacks import StopAfter, TrainingInterrupted
-from .config import CONFIG_FILENAME, RunConfig
+from .config import CONFIG_FILENAME, ConfigError, RunConfig
 from .registry import get_method
 from .state import TrainState
 
@@ -217,18 +217,30 @@ def execute_run(config: RunConfig, *, stop_after: int | None = None,
     the checkpoint on every resume, so the finished journal is
     canonically identical to a fault-free run's (see
     ``docs/robustness.md``).
+
+    A configuration that cannot start (a bad field, an unknown method or
+    dataset, a ``batch_size`` below 2) raises :class:`ConfigError` before
+    ``config.json`` is written; errors once training runs propagate as
+    they are.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    config = config.resolve()
-    if retries:
-        if config.run_dir is None:
-            raise ValueError(
-                "retries requires run_dir: resume recovers from the "
-                "checkpoints written there")
-        if config.checkpoint_every is None:
-            config = dataclasses.replace(config, checkpoint_every=1)
-    ctx = _build(config, stop_after=stop_after)
+    try:
+        if retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {retries}")
+        config = config.resolve()
+        if retries:
+            if config.run_dir is None:
+                raise ConfigError(
+                    "retries requires run_dir: resume recovers from the "
+                    "checkpoints written there")
+            if config.checkpoint_every is None:
+                config = dataclasses.replace(config, checkpoint_every=1)
+        ctx = _build(config, stop_after=stop_after)
+    except ConfigError:
+        raise
+    except (KeyError, ValueError) as exc:
+        # Lookups (method, dataset) and step-strategy checks such as
+        # ``batch_size >= 2`` fail here, before anything is written.
+        raise ConfigError(exc.args[0] if exc.args else str(exc)) from exc
     if config.run_dir is not None:
         config.to_file(Path(config.run_dir) / CONFIG_FILENAME)
     ctx.trainer.log_config(**config.journal_fields())

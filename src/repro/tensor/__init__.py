@@ -21,6 +21,7 @@ from .ops import (
     where,
 )
 from .fused import (
+    fused_batch_norm,
     fused_gradient_features,
     fused_info_nce,
     fused_l2_normalize,
@@ -45,7 +46,7 @@ __all__ = [
     "cosine_similarity_matrix", "pairwise_sqdist", "dot_rows", "where",
     "dropout_mask",
     "fused_info_nce", "fused_gradient_features", "fused_linear",
-    "fused_l2_normalize", "fused_segment_mean",
+    "fused_l2_normalize", "fused_segment_mean", "fused_batch_norm",
     "OpEntry", "register_op", "get_op", "op_names", "call",
     "fused_kernels", "use_fused",
 ]

@@ -3,7 +3,8 @@
 Profiling the training loop shows a handful of op chains dominating: the
 InfoNCE pipeline (l2-normalize -> similarity matrix -> log-softmax -> diag
 NLL), the Eq. 6 gradient-feature combination (softmax-weighted candidate
-mixing), and the linear(+bias)(+relu) stack inside every GIN/GCN layer.
+mixing), the linear(+bias)(+relu) stack inside every GIN/GCN layer, and the
+training-mode batch norm in every GIN layer's MLP.
 Composed from primitives each chain allocates a dozen interior nodes and
 re-derives gradients numerically equivalent to closed forms we know on
 paper.  The kernels here collapse each chain into a *single* autograd node
@@ -27,7 +28,8 @@ from .tensor import Tensor, _matmul, as_tensor
 
 __all__ = [
     "fused_l2_normalize", "fused_linear", "fused_info_nce",
-    "fused_gradient_features", "fused_segment_mean",
+    "fused_gradient_features", "fused_segment_mean", "fused_batch_norm",
+    "batch_moments",
 ]
 
 
@@ -232,3 +234,46 @@ def fused_segment_mean(values: Tensor, segment_ids: np.ndarray,
         return (scaled[segment_ids],)
 
     return Tensor._make(out_data, (values,), backward)
+
+
+def batch_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and (biased) variance of a 2-D batch, keepdims.
+
+    Written with the expressions of ``Tensor.mean`` / ``Tensor.var``
+    (column sums divided by the row count, then centered squares) so the
+    bytes match the autograd composition exactly.
+    """
+    count = np.asarray(float(len(x)), dtype=x.dtype)
+    mean = x.sum(axis=0, keepdims=True) / count
+    centered = x - mean
+    return mean, (centered * centered).sum(axis=0, keepdims=True) / count
+
+
+def fused_batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+                     eps: float = 1e-5) -> Tensor:
+    """Training-mode batch norm ``(x - mean) / sqrt(var + eps) * g + b``.
+
+    One autograd node with the closed-form input gradient
+    ``(g_hat - mean(g_hat) - x_hat * mean(g_hat * x_hat)) / std``; the
+    forward repeats the reference composition's expressions in its order,
+    so the output bytes are identical.  Equivalent to the ``"batch_norm"``
+    reference in :mod:`repro.tensor.registry`.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    mean, var = batch_moments(x.data)
+    std = np.sqrt(var + np.asarray(eps, dtype=var.dtype))
+    normalized = (x.data - mean) / std
+    out_data = normalized * gamma.data + beta.data
+
+    def backward(grad):
+        grad_x = None
+        if x.requires_grad:
+            g_hat = grad * gamma.data
+            grad_x = (g_hat - g_hat.mean(axis=0, keepdims=True)
+                      - normalized * (g_hat * normalized).mean(
+                          axis=0, keepdims=True)) / std
+        return (grad_x,
+                (grad * normalized).sum(axis=0).reshape(gamma.shape),
+                grad.sum(axis=0).reshape(beta.shape))
+
+    return Tensor._make(out_data, (x, gamma, beta), backward)

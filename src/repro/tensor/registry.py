@@ -184,6 +184,15 @@ def _ref_gradient_features(anchor: Tensor, candidates: Tensor,
     return p @ candidates - candidates
 
 
+def _ref_batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+                    eps: float = 1e-5) -> Tensor:
+    # BatchNorm1d's training-mode composition over batch statistics.
+    mean = x.mean(axis=0, keepdims=True)
+    var = x.var(axis=0, keepdims=True)
+    normalized = (x - mean) / (var + eps).sqrt()
+    return normalized * gamma + beta
+
+
 def _pair(rng: np.random.Generator, n: int = 6, d: int = 4):
     u = Tensor(rng.normal(size=(n, d)), requires_grad=True)
     v = Tensor(rng.normal(size=(n, d)), requires_grad=True)
@@ -227,6 +236,22 @@ def _ex_segment_mean(rng):
             ((values, shuffled_ids, 3), {})]
 
 
+def _ex_batch_norm(rng):
+    def affine(d):
+        return (Tensor(rng.normal(size=d), requires_grad=True),
+                Tensor(rng.normal(size=d), requires_grad=True))
+
+    x = rng.normal(size=(6, 4))
+    x[:, 2] = 0.7                     # constant column: zero variance
+    pair = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    # float32 activations (no gradient: a float32 finite difference is too
+    # coarse to check) feeding float64 affine parameters.
+    low = Tensor(rng.normal(size=(5, 3)), dtype=np.float32)
+    return [((Tensor(x, requires_grad=True), *affine(4)), {}),
+            ((pair, *affine(3)), {"eps": 1e-3}),
+            ((low, *affine(3)), {})]
+
+
 register_op(OpEntry("l2_normalize", _ref_l2_normalize,
                     _fused.fused_l2_normalize, _ex_l2_normalize))
 register_op(OpEntry("linear", _ref_linear, _fused.fused_linear, _ex_linear))
@@ -236,3 +261,5 @@ register_op(OpEntry("gradient_features", _ref_gradient_features,
                     _fused.fused_gradient_features, _ex_gradient_features))
 register_op(OpEntry("segment_mean", _ops.segment_mean,
                     _fused.fused_segment_mean, _ex_segment_mean))
+register_op(OpEntry("batch_norm", _ref_batch_norm, _fused.fused_batch_norm,
+                    _ex_batch_norm))

@@ -1,7 +1,6 @@
 """Dataset .npz caching round trips."""
 
 import numpy as np
-import pytest
 
 from repro.datasets import (
     load_graph_dataset,

@@ -6,7 +6,6 @@ import pytest
 from repro.eval import (
     LinearSVMClassifier,
     LogisticRegressionClassifier,
-    SGDClassifier,
     accuracy,
     kfold_indices,
     make_classifier,

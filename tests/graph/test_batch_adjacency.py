@@ -1,5 +1,7 @@
 """Batching, adjacency normalization, diffusion, and loaders."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -48,6 +50,27 @@ class TestAdjacency:
         g = Graph(3, [[0, 1]], np.eye(3))
         norm = gcn_normalize(adjacency_matrix(g))
         assert np.isfinite(norm.toarray()).all()
+
+    @pytest.mark.parametrize("normalize", [
+        row_normalize, lambda adj: gcn_normalize(adj, self_loops=False)],
+        ids=["row", "gcn-no-self-loops"])
+    def test_isolated_node_normalizes_without_warning(self, normalize):
+        # Node 2 has degree 0: its row stays zero, and inverting the
+        # degrees must not divide by zero on the way.
+        g = Graph(4, [[0, 1], [1, 3]], np.eye(4))
+        adj = adjacency_matrix(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dense = normalize(adj).toarray()
+        degrees = np.array([1.0, 2.0, 0.0, 1.0])
+        assert not dense[2].any() and not dense[:, 2].any()
+        connected = [0, 1, 3]
+        block = adj.toarray()[np.ix_(connected, connected)]
+        inv = 1.0 / degrees[connected]
+        expected = (inv[:, None] * block if normalize is row_normalize
+                    else np.sqrt(inv)[:, None] * block * np.sqrt(inv))
+        np.testing.assert_allclose(dense[np.ix_(connected, connected)],
+                                   expected)
 
 
 class TestBatch:

@@ -204,15 +204,36 @@ class TestRunCommand:
         assert embeddings.dtype == np.float32
         assert embeddings.shape[0] == labels.shape[0] > 0
 
-    def test_run_rejects_batch_size_one(self, tmp_path):
-        # A 1-graph batch has no in-batch negatives, so every batch would
-        # be skipped; the run must fail before it writes anything.
+    @pytest.mark.parametrize("flags,message", [
+        # A 1-graph batch has no in-batch negatives (every batch would be
+        # skipped); the check runs in the step strategy, inside execute_run.
+        (["--batch-size", "1"], "batch_size must be >= 2"),
+        (["--weight", "2"], "weight must be in [0, 1]"),
+        (["--checkpoint-every", "1"], "checkpoint_every requires run_dir"),
+    ], ids=["batch-size-1", "weight-2", "checkpoint-without-run-dir"])
+    def test_run_config_error_is_usage_error(self, tmp_path, capsys, flags,
+                                             message):
         run_dir = tmp_path / "run"
-        with pytest.raises(ValueError, match="batch_size must be >= 2"):
-            main(["run", "--method", "GraphCL", "--dataset", "MUTAG",
-                  "--scale", "tiny", "--epochs", "1", "--batch-size", "1",
-                  "--run-dir", str(run_dir)])
+        dir_flags = ([] if "--checkpoint-every" in flags
+                     else ["--run-dir", str(run_dir)])
+        code = main(["run", "--method", "GraphCL", "--dataset", "MUTAG",
+                     "--scale", "tiny", "--epochs", "1", *flags, *dir_flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro run: error: ") and message in err
+        assert "Traceback" not in err and err.count("\n") == 1
         assert not run_dir.exists()
+
+    def test_run_error_during_training_propagates(self, monkeypatch):
+        from repro.run import Trainer
+
+        def broken_fit(self):
+            raise ValueError("raised while training")
+
+        monkeypatch.setattr(Trainer, "fit", broken_fit)
+        with pytest.raises(ValueError, match="raised while training"):
+            main(["run", "--method", "GraphCL", "--dataset", "MUTAG",
+                  "--scale", "tiny", "--epochs", "1"])
 
     def test_run_stop_after_prints_resume_hint(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core import effective_rank, gradgcl
 from repro.datasets import load_tu_dataset
-from repro.eval import similarity_diversity
 from repro.methods import SimGRACE
 from repro.run import GraphSteps, Trainer
 from repro.tensor import Tensor

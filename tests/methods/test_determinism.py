@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import gradgcl
 from repro.datasets import load_node_dataset, load_tu_dataset
-from repro.graph import GraphBatch
 from repro.methods import GRACE, GraphCL, SimGRACE
 from repro.run import GraphSteps, NodeSteps, Trainer
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GradGCLObjective, gradgcl
+from repro.core import gradgcl
 from repro.datasets import load_tu_dataset
 from repro.graph import GraphBatch
 from repro.methods import GraphCL, GraphMAE, InfoGraph, JOAO, MVGRL, SimGRACE

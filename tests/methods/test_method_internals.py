@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.core import GradGCLObjective, InfoNCEObjective
 from repro.datasets import load_node_dataset, load_tu_dataset

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.datasets import load_tu_dataset
-from repro.graph import GraphBatch
 from repro.methods import GraphCL
 from repro.nn import Parameter
 from repro.run import GraphSteps, Trainer, clip_gradients

@@ -15,7 +15,7 @@ from repro.nn import (
     Sigmoid,
     Tanh,
 )
-from repro.tensor import Tensor
+from repro.tensor import Tensor, autocast, fused_kernels
 
 from ..gradcheck import assert_gradients_match
 
@@ -70,6 +70,47 @@ class TestBatchNorm:
         x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
         assert_gradients_match(lambda: (bn(x) ** 2).sum(), x, bn.gamma,
                                bn.beta, atol=1e-4, rtol=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fused_matches_reference_in_training(self, dtype):
+        """Same forward bytes and running statistics on both kernels;
+        gradients agree to roundoff."""
+        data = np.random.default_rng(5).normal(2.0, 3.0, size=(7, 4))
+        data[:, 1] = -0.25                      # constant column
+        upstream = np.random.default_rng(6).normal(size=(7, 4))
+        results = {}
+        for fused in (True, False):
+            with autocast(dtype), fused_kernels(fused):
+                bn = BatchNorm1d(4)
+                bn.gamma.data[:] = [0.5, -1.0, 2.0, 1.5]
+                x = Tensor(data, requires_grad=True)
+                bn(x)                           # two running-stat updates
+                out = bn(x)
+                (out * Tensor(upstream)).sum().backward()
+            results[fused] = (out.data, bn.running_mean, bn.running_var,
+                              [x.grad, bn.gamma.grad, bn.beta.grad])
+        fused_run, reference_run = results[True], results[False]
+        for got, expected in zip(fused_run[:3], reference_run[:3]):
+            assert got.dtype == expected.dtype == dtype
+            assert got.tobytes() == expected.tobytes()
+        tol = 1e-9 if dtype == np.float64 else 1e-4
+        for got, expected in zip(fused_run[3], reference_run[3]):
+            np.testing.assert_allclose(got, expected, rtol=tol, atol=tol)
+
+    def test_eval_uses_running_statistics_composite(self, rng):
+        bn = BatchNorm1d(3)
+        bn.gamma.data[:] = [1.5, -0.5, 2.0]
+        bn.beta.data[:] = [0.1, 0.2, -0.3]
+        bn(Tensor(rng.normal(1.0, 2.0, size=(9, 3))))
+        bn.eval()
+        x = rng.normal(size=(4, 3))
+        mean = bn.running_mean.reshape(1, -1)
+        var = bn.running_var.reshape(1, -1)
+        expected = ((x - mean) / np.sqrt(var + np.asarray(bn.eps))
+                    * bn.gamma.data + bn.beta.data)
+        for fused in (True, False):
+            with fused_kernels(fused):
+                assert bn(Tensor(x)).data.tobytes() == expected.tobytes()
 
 
 class TestDropout:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, CosineAnnealingLR, Linear, Parameter, StepLR
+from repro.nn import SGD, Adam, CosineAnnealingLR, Parameter, StepLR
 from repro.tensor import Tensor
 
 

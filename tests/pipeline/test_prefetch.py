@@ -1,6 +1,5 @@
 """Prefetching loader: ordering, skip parity, and exception teardown."""
 
-import numpy as np
 import pytest
 
 from repro.graph import Graph, GraphBatch, GraphLoader

@@ -2,8 +2,6 @@
 
 from types import SimpleNamespace
 
-import pytest
-
 import repro.eval.protocol as protocol
 from repro.eval import EvalStats
 from repro.obs import RunJournal, events_of, read_journal

@@ -56,8 +56,9 @@ def _scalarize(name, out):
 
 class TestRegistryContract:
     def test_every_op_registered_with_fused_impl(self):
-        assert set(op_names()) == {"gradient_features", "info_nce", "linear",
-                                   "l2_normalize", "segment_mean"}
+        assert set(op_names()) == {"batch_norm", "gradient_features",
+                                   "info_nce", "linear", "l2_normalize",
+                                   "segment_mean"}
         for name in op_names():
             assert get_op(name).fused is not None
 

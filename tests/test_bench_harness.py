@@ -1,7 +1,5 @@
 """The benchmark harness itself: scaling config and report plumbing."""
 
-import importlib
-
 import pytest
 
 import benchmarks.common as common
