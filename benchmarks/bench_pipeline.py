@@ -1,19 +1,13 @@
-"""Input-pipeline benchmarks: worker pool, prefetch, structure cache.
+"""Input-pipeline benchmarks: per-graph view streams, structure cache.
 
-Three measurements on the same protocol as ``bench_tensor_ops``
+Two measurements on the same protocol as ``bench_tensor_ops``
 (PROTEINS small scale, fixed seeds, hidden 32, 3 layers, 1 warmup epoch,
 5 timed epochs, median epoch seconds, best of 3 repeats):
 
-* **GraphCL serial baseline** — the pre-pipeline augmentation path
-  (``view_generator=None``, shared-rng loops) for comparison against the
-  PR-2 era timings.
-* **GraphCL at workers 0/2/4** — per-graph deterministic streams, the
-  multiprocessing pool, and prefetch double-buffering.  Parallel speedup
-  only materializes with real cores, so ``cpu_count`` is recorded in the
-  payload and ``scripts/check_perf.py`` conditions its workers-4 criterion
-  on it; on a single-core box the payload additionally carries a
-  ``parallel_note`` spelling out that sub-1x worker numbers measure fork
-  overhead, not a pipeline regression.
+* **GraphCL legacy vs view streams** — the pre-pipeline augmentation
+  path (``view_generator=None``, shared-rng loops) against the
+  per-graph deterministic streams with batch-wide post-processing
+  (recorded as ``workers_0``, the name earlier payloads used for it).
 * **MVGRL cold vs warm structure cache** — the PPR diffusion dominates an
   MVGRL epoch; with a persistent cache every epoch after the first reuses
   the factorized diffusion, so the warm-epoch median collapses.
@@ -49,8 +43,7 @@ PROTOCOL = {
 }
 
 
-def _graphcl_once(workers: int | None, *, legacy: bool = False,
-                  prefetch: bool | None = None) -> tuple[float, float]:
+def _graphcl_once(*, legacy: bool = False) -> tuple[float, float]:
     with autocast("float32"):
         dataset = load_tu_dataset("PROTEINS", scale="small", seed=0)
         method = GraphCL(dataset.num_features, hidden_dim=32, num_layers=3,
@@ -58,11 +51,10 @@ def _graphcl_once(workers: int | None, *, legacy: bool = False,
         if legacy:
             # Pre-pipeline augmentation path: per-batch shared-rng loops.
             method.view_generator = None
-        kwargs = {} if legacy else {"workers": workers, "prefetch": prefetch}
-        Trainer(method, GraphSteps(dataset.graphs, seed=0), epochs=1,
-                **kwargs).fit()  # warmup
-        history = Trainer(method, GraphSteps(dataset.graphs, seed=1), epochs=5,
-                          **kwargs).fit()
+        Trainer(method, GraphSteps(dataset.graphs, seed=0),
+                epochs=1).fit()  # warmup
+        history = Trainer(method, GraphSteps(dataset.graphs, seed=1),
+                          epochs=5).fit()
     return (statistics.median(history.epoch_seconds),
             float(history.losses[-1]))
 
@@ -91,11 +83,11 @@ def _best_of(fn, repeats: int = 3) -> dict:
 
 
 def run_graphcl(repeats: int = 3) -> dict:
-    results = {"serial_legacy": _best_of(
-        lambda: _graphcl_once(None, legacy=True), repeats)}
-    for workers in (0, 2, 4):
-        results[f"workers_{workers}"] = _best_of(
-            lambda w=workers: _graphcl_once(w), repeats)
+    results = {
+        "serial_legacy": _best_of(lambda: _graphcl_once(legacy=True),
+                                  repeats),
+        "workers_0": _best_of(_graphcl_once, repeats),
+    }
     base = results["serial_legacy"]["median_epoch_seconds"]
     for entry in results.values():
         entry["speedup_vs_serial"] = base / entry["median_epoch_seconds"]
@@ -121,11 +113,6 @@ def main() -> dict:
         "graphcl": run_graphcl(),
         "mvgrl": run_mvgrl(),
     }
-    if payload["cpu_count"] == 1:
-        payload["parallel_note"] = (
-            "single-core box: workers_2/workers_4 measure fork overhead, "
-            "not parallel capacity; scripts/check_perf.py skips the "
-            "parallel-speedup floor for this baseline")
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     for section in ("graphcl", "mvgrl"):
         for name, entry in payload[section].items():
@@ -134,19 +121,17 @@ def main() -> dict:
             print(f"{section}/{name:16s} "
                   f"median={entry['median_epoch_seconds']:.4f}s "
                   f"speedup={speedup:.2f}x")
-    if "parallel_note" in payload:
-        print(f"note: {payload['parallel_note']}")
     print(f"wrote {RESULT_PATH} (cpu_count={payload['cpu_count']})")
     return payload
 
 
 def test_pipeline_bench(benchmark):
-    """pytest-benchmark hook: one warm-cache MVGRL + workers-0 GraphCL run."""
+    """pytest-benchmark hook: one warm-cache MVGRL + one GraphCL run."""
     from .common import run_once
 
     def quick():
         return {
-            "graphcl_workers0": _best_of(lambda: _graphcl_once(0), 1),
+            "graphcl_workers0": _best_of(_graphcl_once, 1),
             "mvgrl_warm": _best_of(
                 lambda: _mvgrl_once(StructureCache()), 1),
         }

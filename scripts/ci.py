@@ -13,9 +13,9 @@ Tiers run in order and the gate stops at the first failure:
   ``repro run`` with ``--run-dir``, then schema validation of the resulting JSONL
   journal (config / epoch with loss_f+loss_g+grad_norm+throughput /
   spectrum / engine / run_end) and a ``repro report`` render; the same
-  smoke then reruns with ``--workers 2`` and with ``--no-cache``, and the
-  canonical journal streams must match exactly (parallel-determinism and
-  cache-invisibility contracts).  Finally
+  smoke then reruns with ``--eval-workers 2`` and with ``--no-cache``, and
+  the canonical journal streams must match exactly (parallel-evaluation
+  determinism and cache-invisibility contracts).  Finally
   the checkpoint/resume drill: a straight 4-epoch ``repro run`` vs the
   same config interrupted after 2 epochs and continued with
   ``repro run --resume`` — canonicalized journals must be identical.
@@ -34,13 +34,13 @@ Tiers run in order and the gate stops at the first failure:
   features (cache misses) must come back byte-identical to a separately
   loaded ``FrozenEncoder.embed`` of the same graphs.
 * **f — chaos**: the fault-tolerance gate (see ``docs/robustness.md``).
-  A seeded :class:`repro.faults.FaultPlan` kills a pool worker mid-epoch
-  (views must stay bit-identical to serial), crashes a training run at
-  epoch 2 (``--retries`` must auto-resume to a canonically identical
-  journal), and injects slow/drop faults into the serving forward while
-  concurrent clients — one of them malformed — hammer ``/embed``: every
-  request must come back 200/400/429/504 within a bounded wall-clock,
-  never hang.
+  A seeded :class:`repro.faults.FaultPlan` kills a ``fork_map`` worker
+  mid-protocol (the evaluation ``(mean, std)`` must equal serial),
+  crashes a training run at epoch 2 (``--retries`` must auto-resume to a
+  canonically identical journal), and injects slow/drop faults into the
+  serving forward while concurrent clients — one of them malformed —
+  hammer ``/embed``: every request must come back 200/400/429/504 within
+  a bounded wall-clock, never hang.
 
 Usage::
 
@@ -165,9 +165,9 @@ def _canonical_events(run_dir: str) -> list[dict]:
 def tier_c_smoke() -> int:
     """2-epoch telemetry smoke train + journal validation + report render.
 
-    Also reruns the same smoke with ``--workers 2`` and with
+    Also reruns the same smoke with ``--eval-workers 2`` and with
     ``--no-cache`` and asserts the canonicalized journal streams match —
-    the parallel-determinism and cache-invisibility contracts (identical
+    the parallel-evaluation and cache-invisibility contracts (identical
     losses, grad norms, spectra, engine counters) enforced end to end
     through the CLI — and finishes with the checkpoint/resume drill
     (:func:`_resume_smoke`).
@@ -185,7 +185,8 @@ def tier_c_smoke() -> int:
                       stdout=subprocess.DEVNULL)
         if status:
             return _preserve(tmp, status)
-        for flags, label in ((["--workers", "2"], "at --workers 2"),
+        for flags, label in ((["--eval-workers", "2"],
+                              "at --eval-workers 2"),
                              (["--no-cache"], "with --no-cache")):
             rerun_dir = str(Path(tmp) / ("run" + "".join(flags)))
             status = _run([sys.executable, "-m", "repro.cli", *SMOKE_ARGS,
@@ -202,7 +203,7 @@ def _same_journal(run_dir: str, rerun_dir: str, label: str) -> int:
     """Canonical journals of a smoke and its rerun must be identical.
 
     Canonicalization drops the cache-stats ``metrics`` event and the
-    execution knobs (``workers``, ``cache``, ...), so everything a run
+    execution knobs (``eval_workers``, ``cache``, ...), so everything a run
     computes is compared.
     """
     first = _canonical_events(run_dir)
@@ -473,49 +474,47 @@ def _chaos_train_drill(tmp: str) -> int:
     return 0
 
 
-def _chaos_pipeline_check() -> int:
-    """Kill a pool worker mid-epoch; views must stay bit-identical.
+def _chaos_eval_check() -> int:
+    """Kill a ``fork_map`` worker mid-protocol; results must not change.
 
-    A ``kill`` rule at ``pipeline.chunk`` fires only inside forked
-    children (``os._exit``), so the parent replays the lost chunks; the
-    assembled views at workers 1 and 2 must equal the serial output byte
-    for byte.
+    A ``kill`` rule at ``eval.repeat`` fires only inside forked children
+    (``os._exit``), so the parent replays the lost repeats; the graph
+    protocol's ``(mean, std)`` at ``eval_workers=2`` must equal the serial
+    result exactly, and the replays must show in ``faults.respawns``.
     """
     sys.path.insert(0, str(SRC))
-    from repro.datasets import load_tu_dataset
-    from repro.faults import FaultPlan, use_fault_plan
-    from repro.graph import GraphBatch
-    from repro.methods.graphcl import default_augmentation
-    from repro.pipeline import ViewGenerator
+    from unittest import mock
 
-    def fingerprint(pair):
-        return [(g.num_nodes, g.edges.tobytes(), g.x.tobytes())
-                for view in (pair.view1, pair.view2) for g in view.graphs]
+    import numpy as np
 
-    graphs = load_tu_dataset("MUTAG", scale="tiny", seed=0).graphs[:12]
-    batch = GraphBatch(list(graphs))
-    serial = ViewGenerator(default_augmentation(), root=123, workers=0)
-    reference = fingerprint(serial.generate(batch))
-    failures = 0
-    for workers in (1, 2):
-        plan = FaultPlan([{"point": "pipeline.chunk", "kind": "kill",
-                           "at": 2}], seed=0)
-        gen = ViewGenerator(default_augmentation(), root=123,
-                            workers=workers, chunk_size=3, recover_s=5.0)
-        try:
-            with use_fault_plan(plan):
-                pair = gen.submit(batch).result()
-        finally:
-            gen.shutdown()
-        if fingerprint(pair) != reference:
-            print("  chaos pipeline check failed: views differ from the "
-                  f"serial reference after a worker kill at workers="
-                  f"{workers}")
-            failures += 1
-    if not failures:
-        print("  chaos pipeline ok: views bit-identical to serial after "
-              "worker kill + parent replay at workers 1 and 2")
-    return failures
+    from repro.eval import fast_evaluate_graph
+    from repro.faults import FaultPlan, counters_snapshot, use_fault_plan
+
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3), 40)
+    embeddings = rng.normal(size=(len(labels), 8)) + labels[:, None]
+    serial = fast_evaluate_graph(embeddings, labels, seed=0,
+                                 eval_workers=0)[:2]
+    before = counters_snapshot()["faults.respawns"]
+    plan = FaultPlan([{"point": "eval.repeat", "kind": "kill", "at": 2}],
+                     seed=0)
+    # A lost repeat is replayed after REPRO_POOL_RECOVER_S (default 60 s).
+    with mock.patch.dict(os.environ, {"REPRO_POOL_RECOVER_S": "5"}), \
+            use_fault_plan(plan):
+        parallel = fast_evaluate_graph(embeddings, labels, seed=0,
+                                       eval_workers=2)[:2]
+    respawns = counters_snapshot()["faults.respawns"] - before
+    if parallel != serial:
+        print(f"  chaos eval check failed: (mean, std) {parallel} at "
+              f"eval_workers=2 after a worker kill != serial {serial}")
+        return 1
+    if not respawns:
+        print("  chaos eval check failed: no worker was killed and "
+              "replayed (faults.respawns unchanged)")
+        return 1
+    print(f"  chaos eval ok: (mean, std) identical to serial after "
+          f"{respawns} worker kill(s) + parent replay at eval_workers=2")
+    return 0
 
 
 def _chaos_serving_drill(run_dir: str) -> int:
@@ -624,7 +623,7 @@ def _chaos_serving_drill(run_dir: str) -> int:
 
 def tier_f_chaos() -> int:
     """Chaos gate: seeded faults, bounded degradation, bit-identity."""
-    status = _chaos_pipeline_check()
+    status = _chaos_eval_check()
     if status:
         return status
     with tempfile.TemporaryDirectory(prefix="repro-ci-chaos-") as tmp:

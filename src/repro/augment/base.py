@@ -50,23 +50,6 @@ class ViewArrays:
         self.node_y = (None if any(y is None for y in node_y)
                        else np.concatenate(node_y))
 
-    @classmethod
-    def concat(cls, parts: Sequence["ViewArrays"]) -> "ViewArrays":
-        """Join chunks in order (e.g. the pool's per-worker results)."""
-        if len(parts) == 1:
-            return parts[0]
-        out = object.__new__(cls)
-        starts = np.cumsum([0] + [int(p.sizes.sum()) for p in parts[:-1]])
-        out.x = np.concatenate([p.x for p in parts], axis=0)
-        out.edges = np.concatenate(
-            [p.edges + start for p, start in zip(parts, starts)], axis=0)
-        for name in ("labels", "sizes", "edge_sizes"):
-            setattr(out, name, np.concatenate([getattr(p, name)
-                                               for p in parts]))
-        out.node_y = (None if any(p.node_y is None for p in parts)
-                      else np.concatenate([p.node_y for p in parts]))
-        return out
-
     def node_offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.sizes)])
 

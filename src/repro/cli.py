@@ -98,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     rn.add_argument("--out-dim", type=int, default=None)
     rn.add_argument("--layers", type=int, default=None)
     rn.add_argument("--workers", type=int, default=None,
-                    help="augmentation worker processes (default: "
-                         "REPRO_WORKERS or 0 = serial)")
+                    help="augmentation worker processes; only 0 is "
+                         "accepted (views are generated in-process)")
     rn.add_argument("--eval-workers", type=int, default=None,
                     help="evaluation worker processes for parallel "
                          "cross-validation; results are identical at "

@@ -78,6 +78,7 @@ try:  # scipy's private L-BFGS-B core; probed before use, never required
 except ImportError:  # pragma: no cover - scipy always ships it today
     _lbfgsb_core = None
 
+from ..faults import inject as _inject
 from ..obs.tracing import trace
 from ..pipeline.pool import fork_map, map_context
 from ..utils.seed import seeded_rng
@@ -88,6 +89,11 @@ from .protocol import kfold_indices, standardize
 
 __all__ = ["EvalStats", "fast_evaluate_graph", "fast_evaluate_node",
            "guard_tau", "lockstep_available", "resolve_eval_workers"]
+
+#: Fault-injection point at the top of every graph-protocol repeat: the
+#: chaos drill kills a forked ``fork_map`` worker here (``kill`` rules are
+#: inert in the parent, which replays the lost repeat).
+REPEAT_POINT = "eval.repeat"
 
 #: Tight convergence for the joint logistic solve: the batched solution
 #: must sit close enough to the true minimizer that the margin guard's
@@ -561,6 +567,7 @@ def _lockstep_repeat(ctx, plan: FoldPlan, repeat: int,
 
 def _graph_repeat_task(repeat: int) -> dict:
     """Evaluate one repeat of the graph protocol on the fast engine."""
+    _inject(REPEAT_POINT)
     ctx = map_context()
     started = time.perf_counter()
     rng = seeded_rng(ctx.seed + repeat)

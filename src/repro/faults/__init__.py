@@ -1,6 +1,6 @@
 """Fault tolerance: deadlines, retries, and deterministic chaos injection.
 
-The robustness layer the serving/pipeline/training stacks build on:
+The robustness layer the serving/evaluation/training stacks build on:
 
 * :mod:`repro.faults.deadline` — :class:`Deadline` (the only place in the
   library allowed to do ``time.monotonic()`` arithmetic; lint rule 8) and
@@ -8,7 +8,7 @@ The robustness layer the serving/pipeline/training stacks build on:
   honoring ``Retry-After``);
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a seeded, replayable
   fault-injection harness with named points (``serve.forward``,
-  ``pipeline.chunk``, ``train.epoch``) and trigger predicates for
+  ``eval.repeat``, ``train.epoch``) and trigger predicates for
   ``slow`` / ``raise`` / ``kill`` / ``drop`` faults, plus the process-wide
   ``faults.*`` counters (injected / timeouts / respawns / retries).
 

@@ -13,9 +13,9 @@ Defaults are environment-tunable:
 * ``REPRO_DEADLINE_MS`` — per-request serving deadline (default 30000);
 * ``REPRO_FORWARD_TIMEOUT_MS`` — watchdog threshold for a hung forward
   (default: the request deadline);
-* ``REPRO_POOL_RECOVER_S`` — how long the pipeline waits on a fork-pool
-  chunk before declaring the worker dead and replaying the chunk
-  in-process (default 60).
+* ``REPRO_POOL_RECOVER_S`` — how long :func:`~repro.pipeline.pool.fork_map`
+  waits on one item before declaring its worker dead and replaying the
+  item in-process (default 60).
 
 :class:`RetryPolicy` implements capped exponential backoff with
 deterministic (seedable) jitter and honors server-provided ``Retry-After``
@@ -64,7 +64,7 @@ def default_forward_timeout_ms() -> float:
 
 
 def default_pool_recover_s() -> float:
-    """Fork-pool chunk recovery timeout (``REPRO_POOL_RECOVER_S``)."""
+    """Fork-pool item recovery timeout (``REPRO_POOL_RECOVER_S``)."""
     return _env_float("REPRO_POOL_RECOVER_S", DEFAULT_POOL_RECOVER_S)
 
 

@@ -2,15 +2,16 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultRule` entries, each naming
 an **injection point** (a string like ``"serve.forward"`` or
-``"pipeline.chunk"``) and a fault kind:
+``"eval.repeat"``) and a fault kind:
 
 * ``slow`` — sleep ``delay_s`` at the point (a hung forward, a stalled
   disk);
 * ``raise`` — raise :class:`FaultInjected` (a crashing forward, an IO
   error);
 * ``kill`` — ``os._exit`` the current process — but **only** inside a
-  forked pipeline worker; in the parent process a ``kill`` rule is inert,
-  so a plan written for ``--workers N`` is safe to run serially;
+  forked :func:`~repro.pipeline.pool.fork_map` worker; in the parent
+  process a ``kill`` rule is inert, so a plan written for
+  ``--eval-workers N`` is safe to run serially;
 * ``drop`` — return the ``"drop"`` action for the call site to apply (the
   micro-batcher drops the batch's results so waiters must be rescued by
   their deadlines).

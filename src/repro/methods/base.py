@@ -32,28 +32,6 @@ class GraphContrastiveMethod(Module):
     #: views from immutable inputs (GraphCL family) set one in ``__init__``,
     #: methods whose views need live model state (RGCL) leave it ``None``.
     view_generator = None
-    #: Optional :class:`repro.pipeline.StructureCache` installed by the
-    #: trainer for the duration of a run.
-    structure_cache = None
-
-    def configure_pipeline(self, *, workers: int | None = None,
-                           cache=None) -> "GraphContrastiveMethod":
-        """Attach input-pipeline resources for an upcoming training run.
-
-        ``workers`` reconfigures the view generator's pool size (ignored
-        for methods without one); ``cache`` becomes the method's structure
-        cache (pass ``None`` to detach).  Called by the trainer — both
-        values are always set explicitly there.
-        """
-        if self.view_generator is not None and workers is not None:
-            self.view_generator.configure(workers)
-        self.structure_cache = cache
-        return self
-
-    def shutdown_pipeline(self) -> None:
-        """Release pool processes; later runs lazily recreate them."""
-        if self.view_generator is not None:
-            self.view_generator.shutdown()
 
     def training_loss(self, batch: GraphBatch) -> Tensor:
         """One minibatch's training loss (training mode assumed)."""
@@ -127,9 +105,6 @@ class NodeContrastiveMethod(Module):
     name = "node-method"
 
     view_generator = None
-    structure_cache = None
-    configure_pipeline = GraphContrastiveMethod.configure_pipeline
-    shutdown_pipeline = GraphContrastiveMethod.shutdown_pipeline
 
     def training_loss(self, graph: Graph) -> Tensor:
         raise NotImplementedError

@@ -73,10 +73,10 @@ class GraphCL(GraphContrastiveMethod):
         self.augmentation2 = (augmentation2 if augmentation2 is not None
                               else self.augmentation)
         self._rng = rng
-        # Per-graph deterministic view streams (repro.pipeline): bit-identical
-        # output at every worker count.  The root consumes one draw from
-        # ``rng`` *after* all weight init, so parameters stay byte-identical
-        # to the pre-pipeline era.
+        # Per-graph deterministic view streams (repro.pipeline): views
+        # depend on the root and the batch counter only.  The root consumes
+        # one draw from ``rng`` *after* all weight init, so parameters stay
+        # byte-identical to the pre-pipeline era.
         self.view_generator = ViewGenerator(self.augmentation,
                                             self.augmentation2,
                                             root=spawn_root(rng))
@@ -84,9 +84,9 @@ class GraphCL(GraphContrastiveMethod):
     def _augmented_views(self, batch: GraphBatch) -> tuple[GraphBatch, GraphBatch]:
         generator = self.view_generator
         if generator is None:
-            # Legacy shared-generator path: draws depend on iteration order,
-            # so it cannot parallelize; kept for methods that opt out (RGCL)
-            # and as the benchmark's pre-pipeline baseline.
+            # Legacy shared-generator path (draws depend on iteration
+            # order): kept for methods that opt out (RGCL) and as the
+            # benchmark's pre-pipeline baseline.
             view1 = GraphBatch([self.augmentation(g, self._rng)
                                 for g in batch.graphs])
             view2 = GraphBatch([self.augmentation2(g, self._rng)
@@ -95,7 +95,6 @@ class GraphCL(GraphContrastiveMethod):
         pair = batch.__dict__.pop("_precomputed_views", None)
         if pair is None:
             pair = generator.generate(batch)
-        pair.apply_choices(self.augmentation, self.augmentation2)
         return pair.view1, pair.view2
 
     def project_views(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:

@@ -51,8 +51,8 @@ class RGCL(GraphCL):
         self.refresh_every = max(1, refresh_every)
         self._step = 0
         self._saliency_cache: dict[int, np.ndarray] = {}
-        # RGCL's views depend on live encoder saliency, so they cannot be
-        # precomputed by pipeline workers; opt out of the view generator.
+        # RGCL's views depend on live encoder saliency, not on per-graph
+        # streams alone; opt out of the view generator.
         self.view_generator = None
 
     # ------------------------------------------------------------------

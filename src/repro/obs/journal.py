@@ -172,7 +172,7 @@ def events_of(events: Iterable[dict], event_type: str) -> list[dict]:
 #: number (the evaluation engine is bit-identical at every worker count).
 NONDETERMINISTIC_KEYS = frozenset({
     "ts", "seconds", "total_seconds", "graphs_per_sec", "nodes_per_sec",
-    "workers", "prefetch", "cache",
+    "workers", "prefetch", "cache",   # prefetch: older journals only
     "eval_seconds", "eval_repeat_seconds", "eval_workers", "eval_solver",
 })
 
@@ -184,9 +184,9 @@ NONDETERMINISTIC_EVENTS = frozenset({"trace", "metrics"})
 def canonical_events(events: Iterable[dict]) -> list[dict]:
     """Strip wall-clock/throughput noise for journal equality checks.
 
-    Two runs of the same seed — at different worker counts, or split by a
-    checkpoint/resume cycle — must produce *identical* canonical event
-    lists.  This is the comparison behind CI's determinism and resume
+    Two runs of the same seed — at different eval worker counts, or split
+    by a checkpoint/resume cycle — must produce *identical* canonical
+    event lists.  This is the comparison behind CI's determinism and resume
     smokes and the checkpoint tests.
     """
     canonical = []

@@ -1,15 +1,14 @@
-"""Input pipeline: batched and parallel augmentation + diffusion cache.
+"""Input pipeline: batched augmentation, fork pool and diffusion cache.
 
-Four cooperating pieces speed up the data side of training without
-changing a single number:
+Four cooperating pieces speed up the data side of training and
+evaluation without changing a single number:
 
 * :mod:`~repro.pipeline.seeding` — per-graph ``SeedSequence``-derived
   PCG64 streams, the determinism backbone;
-* :mod:`~repro.pipeline.workers` — :class:`ViewGenerator`, serial or
-  fork-pool view generation (per-graph draws, chunk-wide batched
-  post-processing) that is bit-identical at every worker count;
-* :mod:`~repro.pipeline.prefetch` — :class:`PrefetchLoader`,
-  double-buffering the next batch's views during the optimizer step;
+* :mod:`~repro.pipeline.workers` — :class:`ViewGenerator`, in-process
+  view generation (per-graph draws, batch-wide post-processing);
+* :mod:`~repro.pipeline.pool` — :func:`~repro.pipeline.pool.fork_map`, the
+  fork pool with crash replay that parallelizes evaluation repeats;
 * :mod:`~repro.pipeline.cache` — :class:`StructureCache`, a bounded LRU
   over MVGRL's PPR / heat diffusion reused across epochs.
 
@@ -23,9 +22,8 @@ from .cache import (
     structure_fingerprint,
     use_structure_cache,
 )
-from .prefetch import PrefetchLoader
 from .seeding import spawn_root, stream_from_key, view_stream_keys
-from .workers import ViewGenerator, ViewPair, resolve_workers
+from .workers import ViewGenerator, ViewPair
 
 __all__ = [
     "StructureCache",
@@ -33,11 +31,9 @@ __all__ = [
     "invalidate_structure",
     "structure_fingerprint",
     "use_structure_cache",
-    "PrefetchLoader",
     "spawn_root",
     "stream_from_key",
     "view_stream_keys",
     "ViewGenerator",
     "ViewPair",
-    "resolve_workers",
 ]

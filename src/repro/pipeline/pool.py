@@ -1,9 +1,6 @@
-"""Generic fork-pool fan-out for deterministic task units.
+"""The repo's one fork pool: fan-out for deterministic task units.
 
-:class:`~repro.pipeline.workers.ViewGenerator` owns the augmentation
-pool; this module exposes the same execution discipline as a reusable
-primitive for other subsystems (the evaluation engine parallelizes
-cross-validation repeats with it):
+The evaluation engine parallelizes cross-validation repeats with it:
 
 * ``workers=0`` runs the exact serial in-process path;
 * ``workers=N`` fans items across a fork-based ``multiprocessing.Pool``
@@ -20,8 +17,7 @@ rather than inside every item: it is published to a module global
 *before* the pool forks, so children inherit it through copy-on-write
 memory instead of per-task pickling.
 
-Crash recovery mirrors :class:`~repro.pipeline.workers.ViewGenerator`:
-each item has its own async handle with a bounded wait
+Crash recovery: each item has its own async handle with a bounded wait
 (``REPRO_POOL_RECOVER_S``); an item whose worker died is recomputed in
 the parent — bit-identical by the purity contract above — and counted
 into ``faults.respawns``.  A dead worker costs latency, never results.
@@ -33,7 +29,6 @@ import multiprocessing
 
 from ..faults import default_pool_recover_s
 from ..faults import record as _record_fault
-from .workers import resolve_workers
 
 __all__ = ["fork_map", "map_context"]
 
@@ -51,20 +46,20 @@ def map_context():
     return _CONTEXT
 
 
-def fork_map(fn, items, *, workers: int | None = None, context=None,
+def fork_map(fn, items, *, workers: int, context=None,
              recover_s: float | None = None) -> list:
     """Apply ``fn`` to every item, optionally across a fork pool.
 
-    Returns results in item order.  ``workers=None`` defers to
-    ``REPRO_WORKERS`` (see :func:`repro.pipeline.workers.resolve_workers`);
-    ``0``, a single item, or a fork-less platform all take the serial
-    path, which calls ``fn`` directly in-process.  An item whose worker
-    crashes (its result misses ``recover_s``, default
-    ``REPRO_POOL_RECOVER_S``) is recomputed in the parent.
+    Returns results in item order.  ``workers=0``, a single item, or a
+    fork-less platform all take the serial path, which calls ``fn``
+    directly in-process.  An item whose worker crashes (its result
+    misses ``recover_s``, default ``REPRO_POOL_RECOVER_S``) is recomputed
+    in the parent.
     """
     global _CONTEXT
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     items = list(items)
-    workers = resolve_workers(workers)
     if recover_s is None:
         recover_s = default_pool_recover_s()
     _CONTEXT = context

@@ -1,24 +1,24 @@
 """Deterministic per-graph RNG streams for the augmentation pipeline.
 
-The worker pool must produce views that are **bit-identical to the serial
-path at every worker count**.  That rules out sharing one sequential
-generator across graphs (its draw order would depend on scheduling), so
-every (batch, view, graph) triple gets its own independent PCG64 stream
-derived through :class:`numpy.random.SeedSequence`:
+A batch's views must depend only on the pipeline root and the batch
+counter, never on the order graphs are processed in.  That rules out
+sharing one sequential generator across graphs, so every (batch, view,
+graph) triple gets its own independent PCG64 stream derived through
+:class:`numpy.random.SeedSequence`:
 
 * one ``SeedSequence((root, batch_counter, view))`` per view per batch
   yields 128 bits of entropy per graph via ``generate_state`` — a single
   cheap call instead of one ``SeedSequence`` object per graph;
 * each graph's 128-bit key seeds a fresh ``PCG64`` generator.
 
-Because a stream depends only on ``(root, counter, view, index)`` — never
-on which process executes the augmentation or in what order — serial,
-prefetched, and multi-worker runs all consume randomness identically.
+Because a stream depends only on ``(root, counter, view, index)``,
+post-processing a whole batch at once consumes randomness exactly as the
+per-graph loop did (``tests/pipeline/test_golden_views.py`` pins it).
 
 This module (together with :mod:`repro.utils.seed`) is one of the two
 sanctioned homes for ``np.random.*`` constructor calls in the library;
 ``scripts/lint_repro.py`` flags bare global-RNG use anywhere else under
-``src/`` because it silently breaks the worker determinism contract.
+``src/`` because it silently breaks the view determinism contract.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class RunConfig:
     hidden_dim: int | None = None
     out_dim: int | None = None        # node-level only
     num_layers: int | None = None     # graph-level only
-    workers: int | None = None        # None defers to REPRO_WORKERS
+    workers: int | None = None        # only None or 0 (views in-process)
     eval_workers: int | None = None   # None defers to REPRO_EVAL_WORKERS
     cache: bool = True
     cache_entries: int | None = None
@@ -75,6 +75,11 @@ class RunConfig:
     # Validation / resolution
     # ------------------------------------------------------------------
     def __post_init__(self):
+        if self.workers not in (None, 0):
+            raise ConfigError(
+                f"workers must be 0 (training views are generated "
+                f"in-process; eval_workers parallelizes evaluation), "
+                f"got {self.workers}")
         if not 0.0 <= self.weight <= 1.0:
             raise ConfigError(
                 f"weight must be in [0, 1], got {self.weight}")
@@ -153,8 +158,8 @@ class RunConfig:
         return path
 
     #: Fields that do not influence the training numbers: storage
-    #: locations, execution topology (the pipeline and the evaluation
-    #: engine are bit-identical at every worker/cache setting), and
+    #: locations, execution topology (the structure cache and the
+    #: evaluation engine are bit-identical at every setting), and
     #: journal/checkpoint cadence.
     _NON_TRAINING_FIELDS = ("run_dir", "save", "workers", "eval_workers",
                             "cache", "cache_entries", "spectrum_every",
@@ -164,7 +169,7 @@ class RunConfig:
         """Stable fingerprint of the training-relevant fields.
 
         Non-training fields are excluded: moving a run directory, changing
-        the worker count, or altering the checkpoint cadence must not
+        the eval worker count, or altering the checkpoint cadence must not
         invalidate a checkpoint — the same numbers come out regardless.
         """
         payload = {k: v for k, v in self.resolve().to_dict().items()

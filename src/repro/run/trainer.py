@@ -31,12 +31,7 @@ from ..faults import inject as _inject
 from ..graph import Graph, GraphLoader
 from ..nn import Adam
 from ..obs import RunJournal, Tracer, engine_stats
-from ..pipeline import (
-    PrefetchLoader,
-    StructureCache,
-    resolve_workers,
-    use_structure_cache,
-)
+from ..pipeline import StructureCache, use_structure_cache
 from ..utils import Timer
 from ..utils.seed import seeded_rng
 from .callbacks import (
@@ -169,16 +164,11 @@ class GraphSteps:
         self.loader = GraphLoader(graphs, batch_size=batch_size,
                                   shuffle=True, rng=seeded_rng(seed))
 
-    def batch_source(self, method, prefetch: bool):
-        """The per-epoch iterable (double-buffered when prefetching)."""
-        if prefetch:
-            return PrefetchLoader(self.loader, method.view_generator)
-        return self.loader
-
-    def batches(self, source):
-        """Yield trainable minibatches, skipping a trailing 1-graph batch
-        (contrastive losses need >= 2 in-batch graphs to form negatives)."""
-        for batch in source:
+    def batches(self):
+        """Yield one epoch's trainable minibatches, skipping a trailing
+        1-graph batch (contrastive losses need >= 2 in-batch graphs to form
+        negatives)."""
+        for batch in self.loader:
             if batch.num_graphs < 2:
                 continue
             yield batch
@@ -217,11 +207,8 @@ class NodeSteps:
     def __init__(self, graph: Graph):
         self.graph = graph
 
-    def batch_source(self, method, prefetch: bool):
-        return (self.graph,)
-
-    def batches(self, source):
-        yield from source
+    def batches(self):
+        yield self.graph
 
     @staticmethod
     def units(graph) -> int:
@@ -266,6 +253,9 @@ class Trainer:
     Checkpointing: pass ``checkpoint_every`` and ``run_dir`` (or a
     :class:`CheckpointCallback`).  ``config_hash`` is stamped into each
     snapshot; :meth:`Trainer.resume` verifies it before continuing.
+
+    ``workers`` accepts only ``None`` or ``0``: views are generated
+    in-process, and the argument stays so existing callers keep working.
     """
 
     def __init__(self, method, strategy, *, epochs: int,
@@ -276,7 +266,6 @@ class Trainer:
                  journal: RunJournal | None = None,
                  spectrum_every: int | None = None,
                  workers: int | None = None,
-                 prefetch: bool | None = None,
                  structure_cache: StructureCache | bool | None = None,
                  checkpoint_every: int | None = None,
                  run_dir=None,
@@ -293,13 +282,15 @@ class Trainer:
         self.telemetry = journal is not None
         self.optimizer = Adam(method.parameters(), lr=lr,
                               weight_decay=weight_decay)
-        # Pipeline resolution happens at construction so resolved
-        # workers/prefetch are available to ``log_config`` before ``fit``.
-        if strategy.kind != "graph":
-            workers, prefetch = 0, False
-        self.workers, self.prefetch, self.structure_cache = \
-            self._resolve_pipeline(method, workers, prefetch,
-                                   structure_cache)
+        if workers not in (None, 0):
+            raise ValueError(
+                f"workers must be 0 (views are generated in-process), "
+                f"got {workers}")
+        if structure_cache is True:
+            structure_cache = StructureCache()
+        elif structure_cache is False:
+            structure_cache = None
+        self.structure_cache = structure_cache
         self.history = TrainHistory()
         self.tracer = Tracer(enabled=self.telemetry)
         self.engine = None               # set while fit() is active
@@ -325,21 +316,6 @@ class Trainer:
                 raise ValueError("checkpoint_every requires run_dir")
             stock.append(CheckpointCallback(checkpoint_every, run_dir))
         self.callbacks: list[Callback] = stock + list(callbacks)
-
-    @staticmethod
-    def _resolve_pipeline(method, workers, prefetch, structure_cache):
-        """Normalize the pipeline knobs."""
-        workers = resolve_workers(workers)
-        if structure_cache is True:
-            structure_cache = StructureCache()
-        elif structure_cache is False:
-            structure_cache = None
-        method.configure_pipeline(workers=workers, cache=structure_cache)
-        has_generator = getattr(method, "view_generator", None) is not None
-        if prefetch is None:
-            prefetch = workers > 0 and has_generator
-        prefetch = bool(prefetch) and has_generator
-        return workers, prefetch, structure_cache
 
     # ------------------------------------------------------------------
     # Journal config event
@@ -400,12 +376,9 @@ class Trainer:
         optimizer = self.optimizer
         track_norms = self.grad_clip is not None or self.telemetry
         method.train()
-        batch_source = self.strategy.batch_source(method, self.prefetch)
         with contextlib.ExitStack() as stack:
-            # Pool shutdown must run even on a mid-epoch exception; the
-            # active structure cache covers training *and* the final
+            # The active structure cache covers training *and* the final
             # embed/spectrum.
-            stack.callback(method.shutdown_pipeline)
             stack.enter_context(use_structure_cache(self.structure_cache))
             self.engine = stack.enter_context(
                 engine_stats(enabled=self.telemetry))
@@ -423,7 +396,7 @@ class Trainer:
                 norms: list[float] = []
                 units_seen = 0
                 with self.tracer.trace("epoch"), Timer() as timer:
-                    for item in self.strategy.batches(batch_source):
+                    for item in self.strategy.batches():
                         optimizer.zero_grad()
                         with self.tracer.trace("forward"):
                             loss = method.training_loss(item)

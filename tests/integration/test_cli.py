@@ -210,7 +210,10 @@ class TestRunCommand:
         (["--batch-size", "1"], "batch_size must be >= 2"),
         (["--weight", "2"], "weight must be in [0, 1]"),
         (["--checkpoint-every", "1"], "checkpoint_every requires run_dir"),
-    ], ids=["batch-size-1", "weight-2", "checkpoint-without-run-dir"])
+        # Training views are generated in-process; only 0 is accepted.
+        (["--workers", "2"], "workers must be 0"),
+    ], ids=["batch-size-1", "weight-2", "checkpoint-without-run-dir",
+            "workers-2"])
     def test_run_config_error_is_usage_error(self, tmp_path, capsys, flags,
                                              message):
         run_dir = tmp_path / "run"
@@ -223,6 +226,18 @@ class TestRunCommand:
         assert err.startswith("repro run: error: ") and message in err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not run_dir.exists()
+
+    def test_run_workers_zero_trains(self, tmp_path, capsys):
+        # The benchmark's training path passes ``--workers 0`` explicitly.
+        run_dir = tmp_path / "run"
+        code = main(["run", "--method", "GraphCL", "--dataset", "MUTAG",
+                     "--scale", "tiny", "--epochs", "1", "--hidden-dim",
+                     "8", "--workers", "0", "--eval-workers", "0",
+                     "--run-dir", str(run_dir)])
+        assert code == 0
+        assert "accuracy" in capsys.readouterr().out
+        assert json.loads((run_dir / "config.json").read_text())[
+            "workers"] == 0
 
     def test_run_error_during_training_propagates(self, monkeypatch):
         from repro.run import Trainer

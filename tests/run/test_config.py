@@ -67,6 +67,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="level"):
             RunConfig(level="edge")
 
+    @pytest.mark.parametrize("workers", [1, 2, -1])
+    def test_pool_workers_rejected(self, workers):
+        from repro.run import ConfigError
+
+        with pytest.raises(ConfigError, match="workers must be 0"):
+            RunConfig(workers=workers)
+        with pytest.raises(ConfigError, match="workers must be 0"):
+            RunConfig.from_dict({"method": "GraphCL", "workers": workers})
+
+    def test_serial_workers_accepted(self):
+        # Old config.json files carry ``workers``; None and 0 still load.
+        assert RunConfig(workers=0).workers == 0
+        assert RunConfig.from_dict({"workers": None}).workers is None
+
 
 class TestSerialization:
     def test_dict_round_trip(self):
@@ -100,16 +114,14 @@ class TestHashAndJournalFields:
         assert base.config_hash() == moved.config_hash()
 
     def test_hash_ignores_execution_topology(self):
-        # workers/cache/cadence produce bit-identical numbers, so a
-        # serial run and a parallel run of the same experiment must
-        # share a fingerprint (the CI parallel-determinism drill diffs
-        # their journals, config_hash included).
+        # cache/cadence produce bit-identical numbers, so runs of the
+        # same experiment with and without them must share a fingerprint
+        # (the CI determinism drills diff their journals, config_hash
+        # included).
         base = RunConfig(method="GraphCL", weight=0.5)
-        parallel = dataclasses.replace(base, workers=2, cache=False,
-                                       run_dir="runs/x",
-                                       checkpoint_every=2,
-                                       spectrum_every=5)
-        assert base.config_hash() == parallel.config_hash()
+        other = dataclasses.replace(base, cache=False, run_dir="runs/x",
+                                    checkpoint_every=2, spectrum_every=5)
+        assert base.config_hash() == other.config_hash()
 
     def test_hash_ignores_eval_workers(self):
         # The evaluation engine is bit-identical at every worker count,

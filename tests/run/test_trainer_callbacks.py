@@ -197,14 +197,6 @@ class TestNodeStrategy:
                           epochs=3).fit()
         assert len(history.losses) == 3
 
-    def test_node_strategy_forces_serial_pipeline(self, node_dataset):
-        method = GRACE(node_dataset.num_features, 16, 8,
-                       rng=np.random.default_rng(0))
-        trainer = Trainer(method, NodeSteps(node_dataset.graph), epochs=1,
-                          workers=4, prefetch=True)
-        assert trainer.workers == 0
-        assert trainer.prefetch is False
-
     def test_node_parts_keys_sorted(self, node_dataset):
         from repro.core import gradgcl
 
