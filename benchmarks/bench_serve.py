@@ -59,10 +59,10 @@ PROTOCOL = {
     "statistic": f"best wall-clock of {TIMING_LAPS} full sweeps",
 }
 
-#: A short coalescing window: single-graph forwards take ~0.5 ms, so a
-#: long wait would swamp the amortization win it exists to harvest.
-SERVICE_KNOBS = {"max_batch_size": 32, "max_wait_ms": 0.5,
-                 "queue_size": 2 * REQUESTS, "cache_entries": 0}
+#: The batcher has no wait window: requests that queue while a forward
+#: runs ride the next one, up to ``max_batch_size`` graphs.
+SERVICE_KNOBS = {"max_batch_size": 32, "queue_size": 2 * REQUESTS,
+                 "cache_entries": 0}
 
 
 def make_encoder() -> tuple[FrozenEncoder, list]:

@@ -291,9 +291,10 @@ def _serving_load_check(run_dir: str, offline_npz: str) -> int:
 
     * every served row equals the offline npz row bit for bit (JSON float
       serialization round-trips exactly, so equality is byte equality);
-    * ``/metrics`` reports a nonzero coalesce rate — a generous 50 ms
-      batching window guarantees concurrent requests actually share
-      forwards, even on a single-core runner;
+    * ``/metrics`` reports a nonzero coalesce rate — the batcher has no
+      wait window, so a one-shot ``slow`` fault holds the first forward
+      and the other clients' requests queue behind it and share the next
+      one, however many cores the runner has;
     * a burst of requests with fresh features (so the embedding cache
       cannot absorb them) returns rows equal byte for byte to a
       separately loaded ``FrozenEncoder.embed`` of the same graphs;
@@ -308,6 +309,7 @@ def _serving_load_check(run_dir: str, offline_npz: str) -> int:
     import numpy as np
 
     from repro.datasets import load_tu_dataset
+    from repro.faults import FaultPlan, use_fault_plan
     from repro.graph import Graph
     from repro.serve import (EmbeddingService, FrozenEncoder, make_server,
                              payload_from_graph)
@@ -320,8 +322,7 @@ def _serving_load_check(run_dir: str, offline_npz: str) -> int:
         offline = archive["embeddings"]
 
     failures = []
-    service = EmbeddingService(encoder, max_batch_size=16, max_wait_ms=50.0,
-                               queue_size=256)
+    service = EmbeddingService(encoder, max_batch_size=16, queue_size=256)
     server = make_server(service, port=0)
     host, port = server.server_address[:2]
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -337,7 +338,10 @@ def _serving_load_check(run_dir: str, offline_npz: str) -> int:
             return idx, np.asarray(payload["embeddings"],
                                    dtype=offline.dtype)
 
-        with ThreadPoolExecutor(max_workers=SERVE_SMOKE_CLIENTS) as pool:
+        hold_first = FaultPlan([{"point": "serve.forward", "kind": "slow",
+                                 "at": 1, "delay_s": 0.2}])
+        with use_fault_plan(hold_first), \
+                ThreadPoolExecutor(max_workers=SERVE_SMOKE_CLIENTS) as pool:
             results = list(pool.map(hit, range(SERVE_SMOKE_REQUESTS)))
         mismatched = sorted({idx for idx, rows in results
                              if not np.array_equal(rows[0], offline[idx])})
@@ -551,8 +555,7 @@ def _chaos_serving_drill(run_dir: str) -> int:
     failures = []
     with use_fault_plan(plan):
         service = EmbeddingService(encoder, max_batch_size=4,
-                                   max_wait_ms=5.0, queue_size=8,
-                                   deadline_ms=2_000.0,
+                                   queue_size=8, deadline_ms=2_000.0,
                                    forward_timeout_ms=300.0)
         server = make_server(service, port=0)
         host, port = server.server_address[:2]

@@ -77,7 +77,7 @@ NP_RANDOM_ALLOWED = {LIBRARY / "utils" / "seed.py",
 # The registry is the single place allowed to enumerate methods by name.
 METHOD_LIST_ALLOWED = {LIBRARY / "run" / "registry.py"}
 
-# Subsystems allowed to sleep (batching windows, injected slow faults,
+# Subsystems allowed to sleep (injected slow faults, client
 # retry backoff) or start threads (audited worker pools); everything else
 # in the library must stay single-threaded and non-blocking.
 SLEEP_ALLOWED_DIRS = (LIBRARY / "serve", LIBRARY / "faults")

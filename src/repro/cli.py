@@ -43,7 +43,7 @@ Examples::
     repro run --method GRACE --dataset Cora --weight 0.2
     repro spectrum --dataset IMDB-B --weight 0.5
     repro flow --weight 0.5
-    repro serve --run-dir runs/exp1 --port 8080 --max-wait-ms 5
+    repro serve --run-dir runs/exp1 --port 8080
     repro embed --run-dir runs/exp1 --out embeddings.npz
 """
 
@@ -171,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inference_arguments(sv)
     sv.add_argument("--max-batch-size", type=int, default=64,
                     help="coalesce at most this many graphs per forward")
-    sv.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="how long a forward holds for follower requests")
     sv.add_argument("--queue-size", type=int, default=128,
                     help="bounded request queue; beyond it requests shed "
                          "with HTTP 429 instead of queueing latency")
@@ -410,7 +408,6 @@ def _cmd_serve(args) -> int:
     encoder = FrozenEncoder.from_checkpoint(args.run_dir, dtype=args.dtype)
     service = EmbeddingService(encoder,
                                max_batch_size=args.max_batch_size,
-                               max_wait_ms=args.max_wait_ms,
                                queue_size=args.queue_size,
                                deadline_ms=args.deadline_ms,
                                forward_timeout_ms=args.forward_timeout_ms,

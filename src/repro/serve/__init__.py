@@ -7,10 +7,10 @@ demand.  Four layers, stdlib+numpy only:
   from a run directory's ``config.json``, reinstall parameters and
   BatchNorm running statistics from the PR-4 checkpoint, pin eval mode,
   disable gradients, and expose batched block-diagonal ``embed``;
-* :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesce concurrent
-  requests into one forward under ``max_batch_size``/``max_wait_ms``,
-  shedding load with :class:`ServiceOverloaded` when the bounded queue
-  fills, failing requests that miss their deadline with
+* :mod:`repro.serve.batcher` — :class:`MicroBatcher`: coalesce the
+  requests that queue during a forward into the next one (up to
+  ``max_batch_size`` graphs, with no wait window), shedding load with
+  :class:`ServiceOverloaded` when the bounded queue fills, failing requests that miss their deadline with
   :class:`ServiceTimeout`, and tombstoning hung forwards via a watchdog
   (see ``docs/robustness.md``);
 * :mod:`repro.serve.client` — :class:`ServingClient`: the retrying HTTP

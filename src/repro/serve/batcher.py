@@ -4,10 +4,12 @@ Serving traffic arrives as many small requests; the encoder is fastest on
 one large block-diagonal :class:`~repro.graph.GraphBatch` forward (the
 per-forward python/scipy overhead dominates for small graphs).  The
 :class:`MicroBatcher` bridges the two: requests enter a bounded FIFO, a
-single worker thread takes the oldest request and then keeps collecting
-followers for at most ``max_wait_ms`` (or until ``max_batch_size`` graphs
-are gathered), runs one forward over the coalesced graph list, and
-scatters the embedding rows back to the waiting callers.
+single worker thread takes the oldest request, drains whatever else is
+already queued (up to ``max_batch_size`` graphs), runs one forward over the
+coalesced graph list, and scatters the embedding rows back to the waiting
+callers.  There is no wait window: a request that finds the worker idle
+runs at once, and requests that arrive during a forward queue up and ride
+the next one together.
 
 Correctness rests on the :class:`~repro.serve.FrozenEncoder` determinism
 contract: each graph's embedding is bit-identical regardless of batch
@@ -62,7 +64,6 @@ from ..obs import MetricRegistry
 __all__ = ["MicroBatcher", "ServiceOverloaded", "ServiceTimeout"]
 
 DEFAULT_MAX_BATCH_SIZE = 64
-DEFAULT_MAX_WAIT_MS = 2.0
 DEFAULT_QUEUE_SIZE = 128
 
 #: Fault-injection point for the coalesced forward (slow/raise/drop).
@@ -119,6 +120,19 @@ class _Pending:
 _SENTINEL = object()
 
 
+def check_deadline_ms(ms: float) -> float:
+    """Finite, positive, and within what ``Event.wait`` accepts.
+
+    ``NaN`` fails every comparison; comparing before the ``float`` cast
+    rejects an int too large for a float instead of overflowing.
+    """
+    if not 0 < ms <= threading.TIMEOUT_MAX * 1000.0:
+        raise ValueError(
+            "deadline_ms must be a finite number of milliseconds in "
+            f"(0, {threading.TIMEOUT_MAX * 1000.0:.0f}], got {ms}")
+    return float(ms)
+
+
 class MicroBatcher:
     """Coalesce concurrent embed requests into block-diagonal forwards.
 
@@ -133,10 +147,6 @@ class MicroBatcher:
         that crosses the line still executes whole (requests are never
         split), so a single oversized request works — it just forms its
         own batch.
-    max_wait_ms:
-        How long the worker holds the first request of a batch open for
-        followers.  ``0`` disables waiting: each forward takes exactly
-        what is already queued.
     queue_size:
         Bound on queued (not yet batched) requests; beyond it
         :meth:`submit` sheds with :class:`ServiceOverloaded`.
@@ -155,7 +165,6 @@ class MicroBatcher:
 
     def __init__(self, forward: Callable[[Sequence], np.ndarray], *,
                  max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  queue_size: int = DEFAULT_QUEUE_SIZE,
                  deadline_ms: float | None = None,
                  forward_timeout_ms: float | None = None,
@@ -163,21 +172,15 @@ class MicroBatcher:
         if max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
         self._forward = forward
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_ms / 1000.0
-        self.deadline_ms = (default_deadline_ms() if deadline_ms is None
-                            else float(deadline_ms))
+        self.deadline_ms = check_deadline_ms(
+            default_deadline_ms() if deadline_ms is None else deadline_ms)
         self.forward_timeout_ms = (default_forward_timeout_ms()
                                    if forward_timeout_ms is None
                                    else float(forward_timeout_ms))
-        if self.deadline_ms <= 0:
-            raise ValueError(
-                f"deadline_ms must be > 0, got {self.deadline_ms}")
         if self.forward_timeout_ms <= 0:
             raise ValueError(
                 f"forward_timeout_ms must be > 0, got "
@@ -217,9 +220,8 @@ class MicroBatcher:
         """
         if len(graphs) == 0:
             raise ValueError("cannot embed an empty list of graphs")
-        ms = self.deadline_ms if deadline_ms is None else float(deadline_ms)
-        if ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {ms}")
+        ms = (self.deadline_ms if deadline_ms is None
+              else check_deadline_ms(deadline_ms))
         pending = _Pending(graphs, Deadline.after_ms(ms))
         with self._admit:
             if self._closed.is_set():
@@ -263,21 +265,11 @@ class MicroBatcher:
             batch = [head]
             total = len(head.graphs)
             stop = False
-            window = Deadline.after(self.max_wait_s)
             while total < self.max_batch_size:
-                remaining = window.remaining()
-                if remaining <= 0:
-                    # Even with no time left, drain whatever is already
-                    # queued — coalescing what exists costs no latency.
-                    try:
-                        follower = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                else:
-                    try:
-                        follower = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
+                try:
+                    follower = self._queue.get_nowait()
+                except queue.Empty:
+                    break
                 if follower is _SENTINEL:
                     stop = True
                     break

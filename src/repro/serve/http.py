@@ -61,8 +61,10 @@ def graph_from_payload(payload: dict) -> Graph:
     missing = {"num_nodes", "edges", "x"} - set(payload)
     if missing:
         raise ValueError(f"graph payload missing {sorted(missing)}")
+    num_nodes = payload["num_nodes"]
+    if not _is_json(num_nodes, int):
+        raise ValueError(f"num_nodes must be an integer, got {num_nodes!r}")
     try:
-        num_nodes = int(payload["num_nodes"])
         edges = np.asarray(payload["edges"], dtype=np.int64).reshape(-1, 2)
         x = np.asarray(payload["x"], dtype=np.float64)
     except (TypeError, OverflowError) as exc:
@@ -73,6 +75,11 @@ def graph_from_payload(payload: dict) -> Graph:
         raise ValueError("x must hold only finite numbers "
                          "(NaN and infinities are rejected)")
     return Graph(num_nodes, edges, x)
+
+
+def _is_json(value, kinds) -> bool:
+    # ``bool`` subclasses ``int``: ``true`` is neither a count nor a time.
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def payload_from_graph(graph: Graph) -> dict:
@@ -134,20 +141,16 @@ class _Handler(BaseHTTPRequestHandler):
                                            f"exceeds {MAX_BODY_BYTES}"})
                 return
             request = json.loads(self.rfile.read(length))
-            entries = request.get("graphs")
+            entries = (request.get("graphs") if isinstance(request, dict)
+                       else None)
             if not isinstance(entries, list) or not entries:
                 raise ValueError('body must be {"graphs": [...]} with at '
                                  "least one graph")
-            deadline_ms = request.get("deadline_ms")
-            if deadline_ms is not None:
-                try:
-                    deadline_ms = float(deadline_ms)
-                except (TypeError, ValueError):
-                    raise ValueError("deadline_ms must be a positive "
-                                     "number") from None
-                if deadline_ms <= 0:
-                    raise ValueError(
-                        f"deadline_ms must be > 0, got {deadline_ms}")
+            deadline_ms = request.get("deadline_ms")  # range: the batcher
+            if deadline_ms is not None and not _is_json(deadline_ms,
+                                                        (int, float)):
+                raise ValueError(f"deadline_ms must be a number of "
+                                 f"milliseconds, got {deadline_ms!r}")
             graphs = [graph_from_payload(entry) for entry in entries]
             embeddings = self.service.embed_graphs(graphs,
                                                    deadline_ms=deadline_ms)

@@ -8,8 +8,9 @@ serving benchmark).  A request flows:
 2. **cache probe** — graphs whose structure+feature fingerprint is cached
    skip the forward entirely;
 3. **micro-batch** — the misses join the shared
-   :class:`~repro.serve.MicroBatcher` queue and ride a coalesced
-   block-diagonal forward (or the request sheds with
+   :class:`~repro.serve.MicroBatcher` queue and ride the next
+   block-diagonal forward, alone if the worker is idle, else with
+   whatever queued behind the one in flight (or the request sheds with
    :class:`~repro.serve.ServiceOverloaded` under backpressure);
 4. **merge + fill** — cached rows and fresh rows are reassembled in
    request order and the fresh ones are inserted into the cache.
@@ -33,9 +34,9 @@ from ..faults import counters_snapshot as _fault_counters
 from ..obs import MetricRegistry
 from .batcher import (
     DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_WAIT_MS,
     DEFAULT_QUEUE_SIZE,
     MicroBatcher,
+    check_deadline_ms,
 )
 from .cache import EmbeddingCache
 from .encoder import FrozenEncoder
@@ -52,7 +53,6 @@ class EmbeddingService:
 
     def __init__(self, encoder: FrozenEncoder, *,
                  max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-                 max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
                  queue_size: int = DEFAULT_QUEUE_SIZE,
                  deadline_ms: float | None = None,
                  forward_timeout_ms: float | None = None,
@@ -65,7 +65,6 @@ class EmbeddingService:
                                           metrics=self.metrics))
         self.batcher = MicroBatcher(encoder.embed,
                                     max_batch_size=max_batch_size,
-                                    max_wait_ms=max_wait_ms,
                                     queue_size=queue_size,
                                     deadline_ms=deadline_ms,
                                     forward_timeout_ms=forward_timeout_ms,
@@ -86,6 +85,8 @@ class EmbeddingService:
         """
         if len(graphs) == 0:
             raise ValueError("request carries no graphs")
+        if deadline_ms is not None:  # judged even if every graph is cached
+            deadline_ms = check_deadline_ms(deadline_ms)
         started = time.perf_counter()
         self.encoder.validate(graphs)
         self.metrics.counter("serve.requests").inc()
@@ -123,7 +124,6 @@ class EmbeddingService:
         info = {"status": "ok",
                 "uptime_seconds": round(time.time() - self._started, 3),
                 "max_batch_size": self.batcher.max_batch_size,
-                "max_wait_ms": self.batcher.max_wait_s * 1000.0,
                 "cache_enabled": self.cache is not None}
         info.update(self.encoder.describe())
         return info

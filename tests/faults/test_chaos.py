@@ -76,8 +76,7 @@ class TestInterleavingProperty:
                  "every": 1, "times": None, "probability": 0.2},
             ], seed=plan_seed)
             batcher = MicroBatcher(encoder.embed, max_batch_size=4,
-                                   max_wait_ms=1.0, queue_size=4,
-                                   deadline_ms=500.0,
+                                   queue_size=4, deadline_ms=500.0,
                                    forward_timeout_ms=250.0)
             futures = []
             try:

@@ -25,10 +25,10 @@ SUBCOMMAND_ARGS = {
     "report": (["report", "runs/x", "--spectrum-top", "4"],
                {"run_dir": "runs/x", "spectrum_top": 4}),
     "serve": (["serve", "--run-dir", "runs/x", "--port", "8123",
-               "--max-batch-size", "32", "--max-wait-ms", "5"],
+               "--max-batch-size", "32"],
               {"run_dir": "runs/x", "port": 8123, "host": "127.0.0.1",
-               "max_batch_size": 32, "max_wait_ms": 5.0,
-               "queue_size": 128, "dtype": "float32"}),
+               "max_batch_size": 32, "queue_size": 128,
+               "dtype": "float32"}),
     "embed": (["embed", "--run-dir", "runs/x", "--out", "emb.npz",
                "--batch-size", "64", "--dtype", "float64"],
               {"run_dir": "runs/x", "out": "emb.npz", "batch_size": 64,
@@ -72,6 +72,14 @@ class TestParser:
         assert args.command == command
         for attr, value in expected.items():
             assert getattr(args, attr) == value, attr
+
+    def test_serve_has_no_wait_window_flag(self, capsys):
+        # The micro-batcher runs whatever is queued; the retired window
+        # flag is an unknown argument, so ``repro serve`` exits 2.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--run-dir", "runs/x", "--max-wait-ms", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_flags_default_to_none(self):
         # ``repro run`` must distinguish "flag not passed" from "flag at

@@ -1,6 +1,7 @@
 """MicroBatcher: coalescing, equivalence, backpressure, teardown."""
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -53,45 +54,62 @@ class TestCoalescing:
     def test_results_match_per_request_forwards(self):
         graphs = make_graphs(12)
         expected = row_sum_forward(graphs)
-        with MicroBatcher(row_sum_forward, max_batch_size=8,
-                          max_wait_ms=20.0) as batcher:
+        with MicroBatcher(row_sum_forward, max_batch_size=8) as batcher:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 rows = list(pool.map(
                     lambda g: batcher.submit([g])[0], graphs))
         assert np.array_equal(np.stack(rows), expected)
 
     def test_concurrent_requests_share_forwards(self):
+        """Requests that queue while a forward runs ride the next one."""
         graphs = make_graphs(16)
         metrics = MetricRegistry()
+        entered = threading.Event()
         release = threading.Event()
 
         def gated_forward(batch):
+            entered.set()
             release.wait(timeout=10)
             return row_sum_forward(batch)
 
         with MicroBatcher(gated_forward, max_batch_size=16,
-                          max_wait_ms=50.0, metrics=metrics) as batcher:
-            with ThreadPoolExecutor(max_workers=8) as pool:
+                          metrics=metrics) as batcher:
+            with ThreadPoolExecutor(max_workers=len(graphs)) as pool:
+                head = pool.submit(batcher.submit, [graphs[0]])
+                assert entered.wait(timeout=10)  # first forward is held
                 futures = [pool.submit(batcher.submit, [g])
-                           for g in graphs]
+                           for g in graphs[1:]]
+                while batcher._queue.qsize() < len(futures):
+                    time.sleep(0.001)            # all 15 followers queued
                 release.set()
-                for future in futures:
+                for future in [head, *futures]:
                     future.result(timeout=30)
         snapshot = metrics.snapshot()
         assert snapshot["serve.coalesced_requests"] > 0
         assert snapshot["serve.batches"] < len(graphs)
 
+    def test_lone_request_forms_batch_of_one(self):
+        """With nothing queued behind it, a request runs at once, alone."""
+        metrics = MetricRegistry()
+        graph = make_graphs(1)[0]
+        with MicroBatcher(row_sum_forward, metrics=metrics) as batcher:
+            assert np.array_equal(batcher.submit([graph]),
+                                  row_sum_forward([graph]))
+        snapshot = metrics.snapshot()
+        assert snapshot["serve.batches"] == 1
+        assert snapshot["serve.batch.requests"]["total"] == 1
+        assert "serve.coalesced_requests" not in snapshot
+
     def test_multi_graph_requests_never_split(self):
         graphs = make_graphs(6)
-        with MicroBatcher(row_sum_forward, max_batch_size=2,
-                          max_wait_ms=0.0) as batcher:
+        with MicroBatcher(row_sum_forward, max_batch_size=2) as batcher:
             # 6 graphs > max_batch_size: the request still rides whole.
             out = batcher.submit(graphs)
         assert np.array_equal(out, row_sum_forward(graphs))
 
     def test_zero_wait_still_answers(self):
         graphs = make_graphs(3)
-        with MicroBatcher(row_sum_forward, max_wait_ms=0.0) as batcher:
+        with MicroBatcher(row_sum_forward) as batcher:
             for graph in graphs:
                 assert np.array_equal(batcher.submit([graph]),
                                       row_sum_forward([graph]))
@@ -110,8 +128,7 @@ class TestBackpressure:
 
         graphs = make_graphs(4)
         batcher = MicroBatcher(blocking_forward, max_batch_size=1,
-                               max_wait_ms=0.0, queue_size=1,
-                               metrics=metrics)
+                               queue_size=1, metrics=metrics)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 # First request occupies the worker inside the forward...
@@ -144,7 +161,7 @@ class TestBackpressure:
             return row_sum_forward(batch)
 
         graphs = make_graphs(2)
-        with MicroBatcher(flaky_forward, max_wait_ms=0.0) as batcher:
+        with MicroBatcher(flaky_forward) as batcher:
             with pytest.raises(RuntimeError, match="engine on fire"):
                 batcher.submit([graphs[0]])
             # The worker survives an erroring forward.
@@ -168,8 +185,7 @@ class TestBackpressure:
             release.wait(timeout=10)
             return row_sum_forward(batch)
 
-        batcher = MicroBatcher(gated_forward, max_batch_size=1,
-                               max_wait_ms=0.0)
+        batcher = MicroBatcher(gated_forward, max_batch_size=1)
         with ThreadPoolExecutor(max_workers=len(graphs) + 1) as pool:
             head = pool.submit(batcher.submit, [graphs[0]])
             assert entered.wait(timeout=10)   # worker is inside a forward
@@ -192,8 +208,9 @@ class TestBackpressure:
 class TestDeadlines:
     def test_invalid_deadline_rejected(self):
         with MicroBatcher(row_sum_forward) as batcher:
-            with pytest.raises(ValueError, match="deadline_ms"):
-                batcher.submit(make_graphs(1), deadline_ms=0)
+            for bad in (0, float("nan"), float("inf"), 1e300, 10**400):
+                with pytest.raises(ValueError, match="deadline_ms"):
+                    batcher.submit(make_graphs(1), deadline_ms=bad)
         with pytest.raises(ValueError, match="deadline_ms"):
             MicroBatcher(row_sum_forward, deadline_ms=-5.0)
 
@@ -209,7 +226,7 @@ class TestDeadlines:
 
         graphs = make_graphs(2)
         batcher = MicroBatcher(gated_forward, max_batch_size=1,
-                               max_wait_ms=0.0, metrics=metrics)
+                               metrics=metrics)
         try:
             with ThreadPoolExecutor(max_workers=1) as pool:
                 head = pool.submit(batcher.submit, [graphs[0]])
@@ -237,8 +254,7 @@ class TestDeadlines:
             return row_sum_forward(batch)
 
         graphs = make_graphs(2)
-        batcher = MicroBatcher(hanging_once, max_wait_ms=0.0,
-                               deadline_ms=5_000.0,
+        batcher = MicroBatcher(hanging_once, deadline_ms=5_000.0,
                                forward_timeout_ms=100.0, metrics=metrics)
         try:
             with pytest.raises(ServiceTimeout, match="tombstone"):
@@ -258,8 +274,8 @@ class TestDeadlines:
         plan = FaultPlan([{"point": "serve.forward", "kind": "drop",
                            "at": 1}])
         graphs = make_graphs(2)
-        with MicroBatcher(row_sum_forward, max_wait_ms=0.0,
-                          deadline_ms=150.0, metrics=metrics) as batcher:
+        with MicroBatcher(row_sum_forward, deadline_ms=150.0,
+                          metrics=metrics) as batcher:
             with use_fault_plan(plan):
                 with pytest.raises(ServiceTimeout):
                     batcher.submit([graphs[0]])
@@ -281,8 +297,7 @@ class TestCloseSubmitRace:
 
         for trial in range(30):
             batcher = MicroBatcher(row_sum_forward, max_batch_size=4,
-                                   max_wait_ms=0.0, queue_size=16,
-                                   deadline_ms=2_000.0)
+                                   queue_size=16, deadline_ms=2_000.0)
             barrier = threading.Barrier(5)
 
             def submit_one():
@@ -342,17 +357,15 @@ class TestBatchInvarianceProperty:
             order=st.permutations(range(len(graphs))),
             cuts=st.sets(st.integers(1, len(graphs) - 1), max_size=6),
             max_batch_size=st.integers(1, 32),
-            max_wait_ms=st.sampled_from([0.0, 0.5, 5.0]),
             workers=st.integers(1, 6),
         )
-        def check(order, cuts, max_batch_size, max_wait_ms, workers):
+        def check(order, cuts, max_batch_size, workers):
             # Partition the shuffled indices into contiguous requests.
             bounds = [0, *sorted(cuts), len(order)]
             requests = [order[a:b] for a, b in zip(bounds, bounds[1:])
                         if b > a]
             with MicroBatcher(encoder.embed,
                               max_batch_size=max_batch_size,
-                              max_wait_ms=max_wait_ms,
                               queue_size=len(requests) + 1) as batcher:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(

@@ -28,7 +28,7 @@ def stack():
         method = GraphCL(4, hidden_dim=8, num_layers=2,
                          rng=np.random.default_rng(0))
     encoder = FrozenEncoder(method, num_features=4)
-    service = EmbeddingService(encoder, max_wait_ms=5.0)
+    service = EmbeddingService(encoder)
     server = make_server(service, port=0)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     host, port = server.server_address[:2]
@@ -154,7 +154,17 @@ class TestEndpoints:
         assert excinfo.value.code == 400
         assert "finite" in json.loads(excinfo.value.read())["error"]
 
-    @pytest.mark.parametrize("deadline_ms", ["soon", {"ms": 5}, 0, -10])
+    @pytest.mark.parametrize("deadline_ms", [
+        "soon", {"ms": 5}, 0, -10,
+        # A 504 (NaN), a 500 (1e300 overflows ``Event.wait``, the int
+        # overflows ``float``), no deadline at all (Infinity) and 1 ms
+        # (``true``) are what these used to get.
+        pytest.param(float("nan"), id="nan"),
+        pytest.param(float("inf"), id="inf"),
+        pytest.param(1e300, id="1e300"),
+        pytest.param(10 ** 400, id="huge-int"),
+        pytest.param(True, id="true"),
+    ])
     def test_invalid_deadline_ms_is_400(self, stack, deadline_ms):
         _, base = stack
         body = {"graphs": [payload_from_graph(g)
@@ -166,6 +176,25 @@ class TestEndpoints:
             urlopen(request, timeout=30)
         assert excinfo.value.code == 400
         assert "deadline_ms" in json.loads(excinfo.value.read())["error"]
+
+    @pytest.mark.parametrize("body, field", [
+        ("[1, 2]", "graphs"),
+        ("3", "graphs"),
+        ('{"graphs": [{"num_nodes": 2.7, "edges": [[0, 1]], '
+         '"x": [[1, 2, 3, 4], [5, 6, 7, 8]]}]}', "num_nodes"),
+        ('{"graphs": [{"num_nodes": true, "edges": [], '
+         '"x": [[1, 2, 3, 4]]}]}', "num_nodes"),
+    ], ids=["list-body", "number-body", "num-nodes-float", "num-nodes-bool"])
+    def test_hostile_body_is_400(self, stack, body, field):
+        """A non-object body used to be a 500; a float or boolean
+        ``num_nodes`` used to be truncated and served with a 200."""
+        _, base = stack
+        request = Request(f"{base}/embed", data=body.encode(),
+                          headers={"Content-Type": "application/json"})
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(request, timeout=30)
+        assert excinfo.value.code == 400
+        assert field in json.loads(excinfo.value.read())["error"]
 
     def test_valid_deadline_ms_is_honored(self, stack):
         _, base = stack
@@ -196,8 +225,7 @@ class TestDeadlineTimeout:
             method = GraphCL(4, hidden_dim=8, num_layers=2,
                              rng=np.random.default_rng(0))
         encoder = FrozenEncoder(method, num_features=4)
-        service = EmbeddingService(encoder, max_wait_ms=1.0,
-                                   deadline_ms=100.0,
+        service = EmbeddingService(encoder, deadline_ms=100.0,
                                    forward_timeout_ms=5_000.0)
         server = make_server(service, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -244,8 +272,7 @@ class TestKeepAliveLatency:
         with autocast("float32"):
             method = GraphCL(4, hidden_dim=8, num_layers=2,
                              rng=np.random.default_rng(0))
-        service = EmbeddingService(FrozenEncoder(method, num_features=4),
-                                   max_wait_ms=0.5)
+        service = EmbeddingService(FrozenEncoder(method, num_features=4))
         server = make_server(service, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         host, port = server.server_address[:2]

@@ -31,14 +31,14 @@ class TestBitIdentity:
         """The tentpole contract, in-process: served rows == offline rows
         at every concurrency level."""
         offline = np.concatenate([encoder.embed([g]) for g in graphs])
-        with EmbeddingService(encoder, max_wait_ms=10.0) as service:
+        with EmbeddingService(encoder) as service:
             with ThreadPoolExecutor(max_workers=6) as pool:
                 rows = list(pool.map(
                     lambda g: service.embed_graphs([g])[0], graphs))
         assert np.array_equal(np.stack(rows), offline)
 
     def test_cache_hits_are_bit_identical(self, encoder, graphs):
-        with EmbeddingService(encoder, max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder) as service:
             first = service.embed_graphs(graphs)
             second = service.embed_graphs(graphs)   # all cache hits
             snapshot = service.metrics_snapshot()
@@ -47,7 +47,7 @@ class TestBitIdentity:
 
     def test_mixed_hit_miss_request_order(self, encoder, graphs):
         offline = np.concatenate([encoder.embed([g]) for g in graphs[:4]])
-        with EmbeddingService(encoder, max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder) as service:
             service.embed_graphs([graphs[1], graphs[3]])
             # 0 and 2 are misses, 1 and 3 hits — order must still hold.
             out = service.embed_graphs(graphs[:4])
@@ -56,8 +56,7 @@ class TestBitIdentity:
 
 class TestKnobs:
     def test_cache_can_be_disabled(self, encoder, graphs):
-        with EmbeddingService(encoder, cache_entries=0,
-                              max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder, cache_entries=0) as service:
             assert service.cache is None
             service.embed_graphs(graphs[:2])
             service.embed_graphs(graphs[:2])
@@ -70,19 +69,25 @@ class TestKnobs:
             with pytest.raises(ValueError, match="no graphs"):
                 service.embed_graphs([])
 
+    def test_invalid_deadline_rejected_on_cache_hits(self, encoder, graphs):
+        """The deadline is judged even when no graph reaches the batcher."""
+        with EmbeddingService(encoder) as service:
+            service.embed_graphs(graphs[:1])
+            with pytest.raises(ValueError, match="deadline_ms"):
+                service.embed_graphs(graphs[:1], deadline_ms=float("nan"))
+
     def test_health_payload(self, encoder):
-        with EmbeddingService(encoder, max_batch_size=7,
-                              max_wait_ms=3.0) as service:
+        with EmbeddingService(encoder, max_batch_size=7) as service:
             health = service.health()
         assert health["status"] == "ok"
         assert health["max_batch_size"] == 7
-        assert health["max_wait_ms"] == 3.0
+        assert not [key for key in health if "wait" in key]  # no window
         assert health["num_features"] == 4
 
 
 class TestMetrics:
     def test_snapshot_has_derived_rates(self, encoder, graphs):
-        with EmbeddingService(encoder, max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder) as service:
             service.embed_graphs(graphs[:3])
             snapshot = service.metrics_snapshot()
         assert snapshot["serve.requests"] == 1
@@ -94,7 +99,7 @@ class TestMetrics:
 
     def test_log_metrics_journals_snapshot(self, encoder, graphs,
                                            tmp_path):
-        with EmbeddingService(encoder, max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder) as service:
             service.embed_graphs(graphs[:2])
             with RunJournal(tmp_path) as journal:
                 service.log_metrics(journal)
@@ -103,7 +108,6 @@ class TestMetrics:
 
     def test_shared_registry(self, encoder, graphs):
         metrics = MetricRegistry()
-        with EmbeddingService(encoder, metrics=metrics,
-                              max_wait_ms=0.0) as service:
+        with EmbeddingService(encoder, metrics=metrics) as service:
             service.embed_graphs(graphs[:1])
         assert metrics.snapshot()["serve.requests"] == 1
