@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """AST-based repo lint for CI tier (a).
 
-Nine rules, all cheap; the first eight keep the library embeddable and
-deterministic, the ninth keeps every tree free of dead imports:
+Ten rules, all cheap; the first eight keep the library embeddable and
+deterministic, the ninth keeps every tree free of dead imports, the tenth
+keeps the library to one LRU:
 
 1. **No ``print()`` in the library** — ``src/repro/`` must stay silent so it
    can run inside servers and benchmark harnesses; all terminal output
@@ -24,11 +25,11 @@ deterministic, the ninth keeps every tree free of dead imports:
    added — query ``repro.run.registry.method_names()`` instead.
    ``__all__`` assignments are exempt (re-export lists name classes, not
    runnable methods).
-5. **No ``time.sleep()`` in the library outside ``serve/``** — training,
-   evaluation, and the pipeline are deterministic compute; a sleep is
-   either a latent flake (polling) or dead weight.  Only the serving
-   subsystem legitimately trades wall-clock for batching (the
-   micro-batcher's coalescing window).
+5. **No ``time.sleep()`` in the library outside ``serve/`` and
+   ``faults/``** — training, evaluation, and the pipeline are
+   deterministic compute; a sleep is either a latent flake (polling) or
+   dead weight.  Only the serving client's retry backoff and injected
+   ``slow`` faults may block on the wall clock.
 6. **No ``threading.Thread(`` outside ``serve/`` and ``pipeline/``** —
    the worker-determinism story depends on every thread being owned by
    one of the two audited subsystems (the pipeline's deterministic
@@ -51,6 +52,11 @@ deterministic, the ninth keeps every tree free of dead imports:
    ``__init__.py`` re-exports, names listed in ``__all__`` and
    ``from __future__`` imports are exempt; a name counts as used when it
    appears anywhere in the module, string annotations included.
+10. **No ``OrderedDict`` in ``src/`` outside ``pipeline/cache.py``** — that
+    module's :class:`repro.pipeline.LRU` is the library's one bounded
+    LRU (the structure and embedding caches subclass it); a second
+    hand-rolled ``OrderedDict`` cache duplicates its eviction, byte
+    accounting and counters.
 
 Exit status is the number of violations (0 = clean).  Run from the repo
 root::
@@ -91,6 +97,9 @@ USE_FUSED_BRANCH_ALLOWED = {LIBRARY / "tensor" / "registry.py"}
 
 # Trees scanned for unused imports (rule 9); the library rules scan src/.
 IMPORT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts")
+
+# The one LRU lives here; no other library module may build on OrderedDict.
+ORDERED_DICT_ALLOWED = {LIBRARY / "pipeline" / "cache.py"}
 
 
 def _under(path: Path, dirs: tuple[Path, ...]) -> bool:
@@ -236,6 +245,21 @@ def unused_imports(path: Path, tree: ast.AST) -> list[str]:
     return problems
 
 
+def ordered_dicts(path: Path, tree: ast.AST) -> list[str]:
+    """Rule 10: ``OrderedDict`` imported or referenced outside the LRU."""
+    if LIBRARY not in path.parents or path in ORDERED_DICT_ALLOWED:
+        return []
+    lines = sorted(
+        {node.lineno for node in ast.walk(tree)
+         if (isinstance(node, ast.ImportFrom)
+             and any(alias.name == "OrderedDict" for alias in node.names))
+         or (isinstance(node, ast.Attribute)
+             and node.attr == "OrderedDict")})
+    return [f"{path.relative_to(REPO_ROOT)}:{line}: OrderedDict outside "
+            "repro.pipeline.cache — subclass repro.pipeline.LRU, the one "
+            "bounded LRU" for line in lines]
+
+
 def check_file(path: Path) -> list[str]:
     source = path.read_text()
     try:
@@ -282,10 +306,9 @@ def check_file(path: Path) -> list[str]:
                 and isinstance(node, ast.Call)
                 and _is_time_sleep_call(node)):
             problems.append(
-                f"{rel}:{node.lineno}: time.sleep() outside repro.serve — "
-                "library code must not block on wall-clock (polling sleeps "
-                "are latent flakes); only the micro-batcher's coalescing "
-                "window may wait")
+                f"{rel}:{node.lineno}: time.sleep() outside repro.serve / "
+                "repro.faults — library code must not block on wall-clock "
+                "(polling sleeps are latent flakes)")
         if (LIBRARY in path.parents
                 and not _under(path, THREAD_ALLOWED_DIRS)
                 and isinstance(node, ast.Call)
@@ -313,6 +336,7 @@ def check_file(path: Path) -> list[str]:
                 "repro.tensor.registry — dispatch through "
                 "repro.tensor.call(name, ...) so the registry owns "
                 "kernel selection")
+    problems.extend(ordered_dicts(path, tree))
     return problems
 
 

@@ -129,8 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable the persistent structure cache "
                          "(MVGRL's PPR/heat diffusion reuse across epochs)")
     rn.add_argument("--cache-entries", type=int, default=None,
-                    help="structure-cache LRU bound (default: "
-                         "REPRO_CACHE_ENTRIES or 1024)")
+                    help="structure-cache LRU bound (default: 1024)")
 
     ds = sub.add_parser("datasets", help="print benchmark statistics")
     ds.add_argument("--family", choices=["tu", "node", "molecule", "all"],
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "or the deadline)")
     sv.add_argument("--cache-entries", type=int, default=None,
                     help="embedding LRU bound (0 disables the cache; "
-                         "default: REPRO_EMBED_CACHE or 4096)")
+                         "default: 4096)")
     sv.add_argument("--journal-dir", default=None,
                     help="append a serving metrics event to this journal "
                          "directory on shutdown")

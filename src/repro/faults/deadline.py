@@ -44,8 +44,8 @@ def _env_float(name: str, fallback: float) -> float:
     if raw is None:
         return fallback
     value = float(raw)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {raw!r}")
+    if not 0 < value < math.inf:       # NaN fails the comparison too
+        raise ValueError(f"{name} must be finite and positive, got {raw!r}")
     return value
 
 

@@ -1,11 +1,17 @@
-"""Persistent diffusion caches keyed on a cheap graph fingerprint.
+"""One bounded LRU, and the diffusion cache built on it.
+
+:class:`LRU` is the repo's only least-recently-used cache: a thread-safe
+``OrderedDict`` bounded by entry count, with byte accounting and
+``<prefix>.hits`` / ``.misses`` / ``.evictions`` counters and
+``<prefix>.entries`` / ``.bytes`` gauges in a
+:class:`repro.obs.MetricRegistry`.  Two thin subclasses use it: the
+:class:`StructureCache` here (prefix ``cache``) and
+:class:`repro.serve.EmbeddingCache` (prefix ``serve.cache``).
 
 PPR and heat-kernel diffusion matrices are pure functions of a graph's
-immutable structure (node count + edge list), and each costs a dense
-per-graph solve or matrix power series.  MVGRL used to redo that work per
-batch per epoch; a :class:`StructureCache` memoizes it across epochs under
-a bounded LRU, with hit/miss/eviction/byte counters in a
-:class:`repro.obs.MetricRegistry` so runs can journal cache effectiveness.
+structure (node count + edge list), and each costs a dense per-graph
+solve or matrix power series.  MVGRL used to redo that work per batch per
+epoch; a :class:`StructureCache` memoizes it across epochs.
 
 Only diffusion is cached, because only diffusion pays for its lookup.
 Adjacency matrices, neighbour lists and edge keys are cheaper to rebuild
@@ -14,11 +20,10 @@ are new structures every step, so :class:`repro.graph.GraphBatch` and the
 augmentations never consult the cache.
 
 Keys are ``(kind, fingerprint, *params)`` where the fingerprint hashes
-``(num_nodes, edges)`` and is memoized on the graph instance.  Augmented
-views are new objects with new structure, so they fingerprint differently
-and can never alias their source graph.  Code that mutates a graph's
-``edges`` *in place* must call :meth:`StructureCache.invalidate` (or
-:func:`invalidate_structure`).
+``(num_nodes, edges)`` and is memoized on the graph instance.  Graphs are
+never edited in place once fingerprinted: augmented views, ``copy()`` and
+every rebuilt graph are new objects with their own fingerprint, so they
+can never alias their source graph.
 
 ``use_structure_cache`` installs a cache as the process-local default so
 deep call sites (MVGRL's diffusion operators) can reuse structures
@@ -31,22 +36,19 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import os
+import threading
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Hashable
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..obs import MetricRegistry
 
-__all__ = ["StructureCache", "structure_fingerprint", "invalidate_structure",
+__all__ = ["LRU", "StructureCache", "structure_fingerprint",
            "use_structure_cache", "active_structure_cache"]
 
 _FINGERPRINT_ATTR = "_structure_key"
-
-#: Default LRU bound; override per-cache or via ``REPRO_CACHE_ENTRIES``.
-DEFAULT_MAX_ENTRIES = 1024
 
 
 def structure_fingerprint(graph) -> str:
@@ -65,51 +67,115 @@ def structure_fingerprint(graph) -> str:
     return key
 
 
-def invalidate_structure(graph) -> None:
-    """Drop a graph's memoized fingerprint after an in-place edge mutation."""
-    if hasattr(graph, _FINGERPRINT_ATTR):
-        delattr(graph, _FINGERPRINT_ATTR)
-
-
 def _entry_nbytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return int(value.nbytes)
     if sp.issparse(value):
         csr = value
         return int(csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
-    if isinstance(value, tuple):
-        return sum(_entry_nbytes(part) for part in value)
     return 0
 
 
-class StructureCache:
-    """Bounded LRU over per-graph diffusion operators.
+class LRU:
+    """Bounded, thread-safe, byte-accounted least-recently-used cache.
 
     Parameters
     ----------
     max_entries:
-        LRU bound; the least-recently-used entry is evicted beyond it.
+        Entry bound (``None``: the subclass's ``default_max_entries``);
+        storing past it evicts the least-recently-used entry.
     metrics:
         Optional shared :class:`MetricRegistry`; a private one is created
-        otherwise.  Counters: ``cache.hits`` / ``cache.misses`` /
-        ``cache.evictions``; gauges: ``cache.entries`` / ``cache.bytes``.
+        otherwise.  Counters ``<prefix>.hits`` / ``.misses`` /
+        ``.evictions`` and gauges ``<prefix>.entries`` / ``.bytes``.
+
+    Values are returned by reference, so treat them as immutable.
     """
+
+    #: Metric-name prefix and default bound; each subclass sets both.
+    prefix: str
+    default_max_entries: int
 
     def __init__(self, max_entries: int | None = None,
                  metrics: MetricRegistry | None = None):
         if max_entries is None:
-            max_entries = int(os.environ.get("REPRO_CACHE_ENTRIES",
-                                             DEFAULT_MAX_ENTRIES))
+            max_entries = self.default_max_entries
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.metrics = metrics if metrics is not None else MetricRegistry()
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self._hits = f"{self.prefix}.hits"
+        self._misses = f"{self.prefix}.misses"
+        self._evictions = f"{self.prefix}.evictions"
+        self._entries_gauge = f"{self.prefix}.entries"
+        self._bytes_gauge = f"{self.prefix}.bytes"
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._bytes = 0
+        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Core get-or-build
-    # ------------------------------------------------------------------
+    def lookup(self, key: Hashable):
+        """The value stored under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.metrics.counter(self._misses).inc()
+                return None
+            self._entries.move_to_end(key)
+            self.metrics.counter(self._hits).inc()
+            return value
+
+    def store(self, key: Hashable, value) -> None:
+        """Insert or replace ``key``, then evict down to the bound."""
+        nbytes = _entry_nbytes(value)
+        with self._lock:
+            previous = self._entries.pop(key, None)
+            if previous is not None:
+                self._bytes -= _entry_nbytes(previous)
+            self._entries[key] = value
+            self._bytes += nbytes
+            while len(self._entries) > self.max_entries:
+                _, evicted = self._entries.popitem(last=False)
+                self._bytes -= _entry_nbytes(evicted)
+                self.metrics.counter(self._evictions).inc()
+            self._set_gauges()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+            self._set_gauges()
+
+    def _set_gauges(self) -> None:
+        self.metrics.gauge(self._entries_gauge).set(len(self._entries))
+        self.metrics.gauge(self._bytes_gauge).set(self._bytes)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    @property
+    def nbytes(self) -> int:
+        return self._bytes
+
+    def stats(self) -> dict:
+        """JSON-ready summary (``repro run`` journals it as a ``metrics``
+        event)."""
+        def count(name: str) -> int:
+            return (self.metrics.counter(name).value
+                    if name in self.metrics else 0)
+
+        with self._lock:
+            return {"entries": len(self._entries), "bytes": self._bytes,
+                    "hits": count(self._hits), "misses": count(self._misses),
+                    "evictions": count(self._evictions)}
+
+
+class StructureCache(LRU):
+    """:class:`LRU` over per-graph diffusion operators (prefix ``cache``)."""
+
+    prefix = "cache"
+    default_max_entries = 1024
+
     def get(self, graph, kind: str, params: tuple,
             build: Callable[[], object]):
         """Return the cached value for ``(kind, graph, params)`` or build it.
@@ -118,26 +184,12 @@ class StructureCache:
         cached object is returned by reference, so treat it as immutable.
         """
         key = (kind, structure_fingerprint(graph), *params)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.metrics.counter("cache.hits").inc()
-            return entry
-        self.metrics.counter("cache.misses").inc()
-        entry = build()
-        self._entries[key] = entry
-        self._bytes += _entry_nbytes(entry)
-        while len(self._entries) > self.max_entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= _entry_nbytes(evicted)
-            self.metrics.counter("cache.evictions").inc()
-        self.metrics.gauge("cache.entries").set(len(self._entries))
-        self.metrics.gauge("cache.bytes").set(self._bytes)
+        entry = self.lookup(key)
+        if entry is None:
+            entry = build()
+            self.store(key, entry)
         return entry
 
-    # ------------------------------------------------------------------
-    # Structural operators
-    # ------------------------------------------------------------------
     @staticmethod
     def _dtype_tag() -> str:
         from ..tensor.dtype import get_default_dtype
@@ -175,50 +227,6 @@ class StructureCache:
 
         return self.get(graph, "heat",
                         (float(t), int(terms), k, self._dtype_tag()), build)
-
-    # ------------------------------------------------------------------
-    # Invalidation / introspection
-    # ------------------------------------------------------------------
-    def invalidate(self, graph) -> int:
-        """Invalidation hook for in-place structural mutation.
-
-        Drops the graph's memoized fingerprint *and* every entry stored
-        under it; returns the number of entries removed.
-        """
-        stale = getattr(graph, _FINGERPRINT_ATTR, None)
-        invalidate_structure(graph)
-        if stale is None:
-            return 0
-        doomed = [key for key in self._entries if key[1] == stale]
-        for key in doomed:
-            self._bytes -= _entry_nbytes(self._entries.pop(key))
-        if doomed:
-            self.metrics.gauge("cache.entries").set(len(self._entries))
-            self.metrics.gauge("cache.bytes").set(self._bytes)
-        return len(doomed)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
-        self.metrics.gauge("cache.entries").set(0)
-        self.metrics.gauge("cache.bytes").set(0)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def stats(self) -> dict:
-        """JSON-ready summary (journaled as part of a ``metrics`` event)."""
-        def count(name: str) -> int:
-            return (self.metrics.counter(name).value
-                    if name in self.metrics else 0)
-
-        return {"entries": len(self._entries), "bytes": self._bytes,
-                "hits": count("cache.hits"), "misses": count("cache.misses"),
-                "evictions": count("cache.evictions")}
 
 
 # ----------------------------------------------------------------------

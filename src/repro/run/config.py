@@ -85,6 +85,9 @@ class RunConfig:
                 f"weight must be in [0, 1], got {self.weight}")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.cache_entries is not None and self.cache_entries < 1:
+            raise ConfigError(
+                f"cache_entries must be >= 1, got {self.cache_entries}")
         if self.level is not None and self.level not in ("graph", "node"):
             raise ConfigError(
                 f"level must be 'graph' or 'node', got {self.level!r}")
@@ -170,7 +173,8 @@ class RunConfig:
 
         Non-training fields are excluded: moving a run directory, changing
         the eval worker count, or altering the checkpoint cadence must not
-        invalidate a checkpoint — the same numbers come out regardless.
+        change the hash a checkpoint is checked against — the same numbers
+        come out regardless.
         """
         payload = {k: v for k, v in self.resolve().to_dict().items()
                    if k not in self._NON_TRAINING_FIELDS}

@@ -266,7 +266,7 @@ class Trainer:
                  journal: RunJournal | None = None,
                  spectrum_every: int | None = None,
                  workers: int | None = None,
-                 structure_cache: StructureCache | bool | None = None,
+                 structure_cache: StructureCache | None = None,
                  checkpoint_every: int | None = None,
                  run_dir=None,
                  config_hash: str | None = None,
@@ -286,10 +286,6 @@ class Trainer:
             raise ValueError(
                 f"workers must be 0 (views are generated in-process), "
                 f"got {workers}")
-        if structure_cache is True:
-            structure_cache = StructureCache()
-        elif structure_cache is False:
-            structure_cache = None
         self.structure_cache = structure_cache
         self.history = TrainHistory()
         self.tracer = Tracer(enabled=self.telemetry)

@@ -120,15 +120,16 @@ class _Pending:
 _SENTINEL = object()
 
 
-def check_deadline_ms(ms: float) -> float:
+def check_deadline_ms(ms: float, name: str = "deadline_ms") -> float:
     """Finite, positive, and within what ``Event.wait`` accepts.
 
     ``NaN`` fails every comparison; comparing before the ``float`` cast
-    rejects an int too large for a float instead of overflowing.
+    rejects an int too large for a float instead of overflowing.  ``name``
+    is the parameter the message blames.
     """
     if not 0 < ms <= threading.TIMEOUT_MAX * 1000.0:
         raise ValueError(
-            "deadline_ms must be a finite number of milliseconds in "
+            f"{name} must be a finite number of milliseconds in "
             f"(0, {threading.TIMEOUT_MAX * 1000.0:.0f}], got {ms}")
     return float(ms)
 
@@ -178,13 +179,9 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.deadline_ms = check_deadline_ms(
             default_deadline_ms() if deadline_ms is None else deadline_ms)
-        self.forward_timeout_ms = (default_forward_timeout_ms()
-                                   if forward_timeout_ms is None
-                                   else float(forward_timeout_ms))
-        if self.forward_timeout_ms <= 0:
-            raise ValueError(
-                f"forward_timeout_ms must be > 0, got "
-                f"{self.forward_timeout_ms}")
+        self.forward_timeout_ms = check_deadline_ms(
+            default_forward_timeout_ms() if forward_timeout_ms is None
+            else forward_timeout_ms, "forward_timeout_ms")
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._closed = threading.Event()

@@ -1,6 +1,6 @@
-"""Embedding LRU cache keyed on a structure+feature content fingerprint.
+"""Embedding cache keyed on a structure+feature content fingerprint.
 
-The PR-3 :func:`repro.pipeline.structure_fingerprint` hashes only what
+:func:`repro.pipeline.structure_fingerprint` hashes only what
 adjacency/diffusion operators depend on (``num_nodes`` + ``edges``).  An
 *embedding* additionally depends on node features, so the serving cache
 key extends that fingerprint with the feature matrix bytes:
@@ -10,37 +10,31 @@ byte-identical graphs therefore share a cache row, and because embeddings
 are deterministic per graph (see :class:`repro.serve.FrozenEncoder`), a
 cache hit returns exactly what the forward would have produced.
 
-Thread-safety: requests race on the cache from the HTTP handler pool, so
-every operation takes the internal lock.  Counters
-(``serve.cache.hits`` / ``serve.cache.misses`` / ``serve.cache.evictions``)
-and gauges (``serve.cache.entries`` / ``serve.cache.bytes``) flow through
-the shared :class:`repro.obs.MetricRegistry`.
+:class:`EmbeddingCache` is a thin subclass of the repo's one
+:class:`repro.pipeline.LRU`, which is thread-safe (requests race on the
+cache from the HTTP handler pool) and keeps the ``serve.cache.hits`` /
+``serve.cache.misses`` / ``serve.cache.evictions`` counters and the
+``serve.cache.entries`` / ``serve.cache.bytes`` gauges in the shared
+:class:`repro.obs.MetricRegistry`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
-from ..obs import MetricRegistry
-from ..pipeline import structure_fingerprint
+from ..pipeline import LRU, structure_fingerprint
 
 __all__ = ["EmbeddingCache", "content_fingerprint"]
-
-#: Default LRU bound; override per-cache or via ``REPRO_EMBED_CACHE``.
-DEFAULT_MAX_ENTRIES = 4096
 
 
 def content_fingerprint(graph) -> str:
     """Blake2b digest of a graph's structure *and* node features.
 
-    Reuses (and memoizes through) the PR-3 structure fingerprint, then
-    folds in the feature matrix; the result is memoized on the instance
-    so repeated lookups of the same object hash once.
+    Reuses (and memoizes through) the structure fingerprint, then folds
+    in the feature matrix; the result is memoized on the instance so
+    repeated lookups of the same object hash once.
     """
     key = getattr(graph, "_content_key", None)
     if key is None:
@@ -55,78 +49,21 @@ def content_fingerprint(graph) -> str:
     return key
 
 
-class EmbeddingCache:
-    """Bounded, thread-safe LRU of per-graph embedding rows."""
+class EmbeddingCache(LRU):
+    """:class:`LRU` of per-graph embedding rows (prefix ``serve.cache``)."""
 
-    def __init__(self, max_entries: int | None = None,
-                 metrics: MetricRegistry | None = None):
-        if max_entries is None:
-            max_entries = int(os.environ.get("REPRO_EMBED_CACHE",
-                                             DEFAULT_MAX_ENTRIES))
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.metrics = metrics if metrics is not None else MetricRegistry()
-        self._entries: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
+    prefix = "serve.cache"
+    default_max_entries = 4096
 
     def get(self, graph) -> np.ndarray | None:
         """Cached embedding row for ``graph``, or ``None`` on a miss."""
-        key = content_fingerprint(graph)
-        with self._lock:
-            row = self._entries.get(key)
-            if row is not None:
-                self._entries.move_to_end(key)
-                self.metrics.counter("serve.cache.hits").inc()
-                return row
-            self.metrics.counter("serve.cache.misses").inc()
-            return None
+        return self.lookup(content_fingerprint(graph))
 
     def put(self, graph, embedding: np.ndarray) -> None:
         """Store one embedding row (idempotent for identical content)."""
-        key = content_fingerprint(graph)
         # Own an immutable copy: ascontiguousarray would alias the caller's
         # buffer, letting later mutation (or a mutating cache consumer)
         # silently poison every future hit.
         row = np.array(embedding, copy=True)
         row.flags.writeable = False
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes
-            self._entries[key] = row
-            self._bytes += row.nbytes
-            while len(self._entries) > self.max_entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self.metrics.counter("serve.cache.evictions").inc()
-            self.metrics.gauge("serve.cache.entries").set(len(self._entries))
-            self.metrics.gauge("serve.cache.bytes").set(self._bytes)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            self.metrics.gauge("serve.cache.entries").set(0)
-            self.metrics.gauge("serve.cache.bytes").set(0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
-    def stats(self) -> dict:
-        """JSON-ready summary (part of the ``/metrics`` payload)."""
-        def count(name: str) -> int:
-            return (self.metrics.counter(name).value
-                    if name in self.metrics else 0)
-
-        with self._lock:
-            return {"entries": len(self._entries), "bytes": self._bytes,
-                    "hits": count("serve.cache.hits"),
-                    "misses": count("serve.cache.misses"),
-                    "evictions": count("serve.cache.evictions")}
+        self.store(content_fingerprint(graph), row)

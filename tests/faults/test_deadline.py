@@ -67,6 +67,10 @@ class TestEnvDefaults:
         monkeypatch.setenv("REPRO_DEADLINE_MS", "0")
         with pytest.raises(ValueError, match="positive"):
             default_deadline_ms()
+        for raw in ("nan", "inf", "-1"):
+            monkeypatch.setenv("REPRO_POOL_RECOVER_S", raw)
+            with pytest.raises(ValueError, match="REPRO_POOL_RECOVER_S"):
+                default_pool_recover_s()
 
 
 class TestRetryPolicy:

@@ -220,8 +220,9 @@ class TestRunCommand:
         (["--checkpoint-every", "1"], "checkpoint_every requires run_dir"),
         # Training views are generated in-process; only 0 is accepted.
         (["--workers", "2"], "workers must be 0"),
+        (["--cache-entries", "0"], "cache_entries must be >= 1"),
     ], ids=["batch-size-1", "weight-2", "checkpoint-without-run-dir",
-            "workers-2"])
+            "workers-2", "cache-entries-0"])
     def test_run_config_error_is_usage_error(self, tmp_path, capsys, flags,
                                              message):
         run_dir = tmp_path / "run"

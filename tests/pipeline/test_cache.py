@@ -1,4 +1,4 @@
-"""Structure cache: fingerprints, LRU bound, invalidation, metrics."""
+"""Structure cache: fingerprints, LRU bound, fresh keys, metrics."""
 
 import numpy as np
 import pytest
@@ -96,20 +96,28 @@ class TestCacheCore:
 
 class TestInvalidation:
     def test_in_place_mutation_invalidation(self):
+        # Graphs are not edited in place: an edit rebuilds the graph, and
+        # the rebuilt object carries no memoized fingerprint of its source.
         cache = StructureCache()
         g = make_graph()
         stale = cache.ppr(g)
-        # Structural augmentation mutating edges in place must invalidate.
-        g.edges = Graph.canonical_edges(
+        rebuilt = g.copy()
+        assert not hasattr(rebuilt, "_structure_key")
+        rebuilt.edges = Graph.canonical_edges(
             np.concatenate([g.edges, [[0, 3]]], axis=0))
-        removed = cache.invalidate(g)
-        assert removed == 1
-        fresh = cache.ppr(g)
+        assert structure_fingerprint(rebuilt) != structure_fingerprint(g)
+        fresh = cache.ppr(rebuilt)
         assert (fresh != stale).nnz > 0
+        np.testing.assert_array_equal(fresh.toarray(),
+                                      ppr_diffusion(rebuilt, alpha=0.2))
+        assert cache.stats()["misses"] == 2 and len(cache) == 2
 
     def test_invalidate_unseen_graph_is_noop(self):
         cache = StructureCache()
-        assert cache.invalidate(make_graph()) == 0
+        key = ("ppr", structure_fingerprint(make_graph()), 0.2)
+        assert cache.lookup(key) is None
+        assert len(cache) == 0 and cache.nbytes == 0
+        assert cache.stats()["misses"] == 1
 
     def test_augmented_views_never_alias_source(self):
         cache = StructureCache()

@@ -6,6 +6,7 @@ import pytest
 from repro.datasets import load_tu_dataset
 from repro.methods import GraphCL
 from repro.pipeline import (
+    StructureCache,
     ViewGenerator,
     spawn_root,
     stream_from_key,
@@ -111,7 +112,8 @@ class TestWorkerCountDeterminism:
 
     def test_structure_cache_does_not_change_losses(self, dataset):
         baseline = self.run(dataset, GraphCL)
-        assert self.run(dataset, GraphCL, structure_cache=True) == baseline
+        assert self.run(dataset, GraphCL,
+                        structure_cache=StructureCache()) == baseline
 
     def test_workers_zero_is_the_default_path(self, dataset):
         assert self.run(dataset, GraphCL, workers=0) == \

@@ -206,13 +206,21 @@ class TestBackpressure:
 
 
 class TestDeadlines:
-    def test_invalid_deadline_rejected(self):
+    def test_invalid_deadline_rejected(self, monkeypatch):
         with MicroBatcher(row_sum_forward) as batcher:
             for bad in (0, float("nan"), float("inf"), 1e300, 10**400):
                 with pytest.raises(ValueError, match="deadline_ms"):
                     batcher.submit(make_graphs(1), deadline_ms=bad)
         with pytest.raises(ValueError, match="deadline_ms"):
             MicroBatcher(row_sum_forward, deadline_ms=-5.0)
+        # The watchdog threshold is judged like a deadline: a NaN one
+        # would expire every forward at once.
+        for bad in (float("nan"), float("inf"), 0, -1):
+            with pytest.raises(ValueError, match="forward_timeout_ms"):
+                MicroBatcher(row_sum_forward, forward_timeout_ms=bad)
+        monkeypatch.setenv("REPRO_FORWARD_TIMEOUT_MS", "nan")
+        with pytest.raises(ValueError, match="REPRO_FORWARD_TIMEOUT_MS"):
+            MicroBatcher(row_sum_forward)
 
     def test_request_expiring_in_queue_times_out(self):
         metrics = MetricRegistry()

@@ -77,8 +77,10 @@ class TestEmbeddingCache:
         assert snapshot["serve.cache.entries"] == 1
 
     def test_env_override(self, monkeypatch):
+        # The bound is set by ``max_entries`` (``--cache-entries``) only.
         monkeypatch.setenv("REPRO_EMBED_CACHE", "3")
-        assert EmbeddingCache().max_entries == 3
+        assert EmbeddingCache().max_entries == 4096
+        assert EmbeddingCache(max_entries=3).max_entries == 3
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
