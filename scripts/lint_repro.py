@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """AST-based repo lint for CI tier (a).
 
-Ten rules, all cheap; the first eight keep the library embeddable and
+Eleven rules, all cheap; the first eight keep the library embeddable and
 deterministic, the ninth keeps every tree free of dead imports, the tenth
-keeps the library to one LRU:
+keeps the library to one LRU, the eleventh keeps its environment knobs
+on one list:
 
 1. **No ``print()`` in the library** — ``src/repro/`` must stay silent so it
    can run inside servers and benchmark harnesses; all terminal output
@@ -57,6 +58,10 @@ keeps the library to one LRU:
     LRU (the structure and embedding caches subclass it); a second
     hand-rolled ``OrderedDict`` cache duplicates its eviction, byte
     accounting and counters.
+11. **No ``REPRO_*`` environment name in ``src/`` off the allow-list** —
+    every string constant that is exactly ``REPRO_[A-Z0-9_]+`` must be in
+    ``ENV_KNOBS_ALLOWED``, so a new environment knob needs a visible edit
+    here (and a deleted one leaves no stale reader behind).
 
 Exit status is the number of violations (0 = clean).  Run from the repo
 root::
@@ -67,6 +72,7 @@ root::
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +106,12 @@ IMPORT_SCAN_DIRS = ("src", "tests", "benchmarks", "examples", "scripts")
 
 # The one LRU lives here; no other library module may build on OrderedDict.
 ORDERED_DICT_ALLOWED = {LIBRARY / "pipeline" / "cache.py"}
+
+# The library's environment knobs; any other REPRO_* name is a violation.
+ENV_KNOBS_ALLOWED = {"REPRO_FAST_EVAL", "REPRO_EVAL_WORKERS", "REPRO_FUSED",
+                     "REPRO_DEADLINE_MS", "REPRO_FORWARD_TIMEOUT_MS",
+                     "REPRO_POOL_RECOVER_S"}
+_ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 
 
 def _under(path: Path, dirs: tuple[Path, ...]) -> bool:
@@ -260,6 +272,20 @@ def ordered_dicts(path: Path, tree: ast.AST) -> list[str]:
             "bounded LRU" for line in lines]
 
 
+def env_knobs(path: Path, tree: ast.AST) -> list[str]:
+    """Rule 11: ``REPRO_*`` string constants outside the allow-list."""
+    if LIBRARY not in path.parents:
+        return []
+    hits = sorted({(node.lineno, node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)
+                   and _ENV_NAME.fullmatch(node.value)
+                   and node.value not in ENV_KNOBS_ALLOWED})
+    return [f"{path.relative_to(REPO_ROOT)}:{line}: environment knob "
+            f"{name!r} is not in ENV_KNOBS_ALLOWED — add it there or "
+            "drop it" for line, name in hits]
+
+
 def check_file(path: Path) -> list[str]:
     source = path.read_text()
     try:
@@ -337,6 +363,7 @@ def check_file(path: Path) -> list[str]:
                 "repro.tensor.call(name, ...) so the registry owns "
                 "kernel selection")
     problems.extend(ordered_dicts(path, tree))
+    problems.extend(env_knobs(path, tree))
     return problems
 
 

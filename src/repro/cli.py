@@ -396,6 +396,22 @@ def _cmd_flow(args) -> int:
     return 0
 
 
+def _judge_serve_flags(args) -> None:
+    """Reject bad ``repro serve`` values before the checkpoint loads."""
+    from repro.serve.batcher import check_count, check_deadline_ms
+
+    try:
+        check_count(args.max_batch_size, "max_batch_size")
+        check_count(args.queue_size, "queue_size")
+        if args.cache_entries is not None and args.cache_entries != 0:
+            check_count(args.cache_entries, "cache_entries")
+        for name in ("deadline_ms", "forward_timeout_ms"):
+            if getattr(args, name) is not None:
+                check_deadline_ms(getattr(args, name), name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_serve(args) -> int:
     from repro.serve import (
         EmbeddingService,
@@ -404,6 +420,7 @@ def _cmd_serve(args) -> int:
         make_server,
     )
 
+    _judge_serve_flags(args)
     encoder = FrozenEncoder.from_checkpoint(args.run_dir, dtype=args.dtype)
     service = EmbeddingService(encoder,
                                max_batch_size=args.max_batch_size,

@@ -13,7 +13,7 @@ from .engine import (
     lockstep_available,
     resolve_eval_workers,
 )
-from .folds import FoldPlan, plan_folds, streaming_train_stats
+from .folds import FoldPlan, plan_folds
 from .metrics import accuracy, macro_f1, mean_std, roc_auc
 from .protocol import (
     evaluate_graph_embeddings,
@@ -39,7 +39,7 @@ __all__ = [
     "evaluate_node_embeddings", "fast_eval_enabled", "last_eval_stats",
     "EvalStats", "fast_evaluate_graph", "fast_evaluate_node",
     "lockstep_available", "resolve_eval_workers",
-    "FoldPlan", "plan_folds", "streaming_train_stats",
+    "FoldPlan", "plan_folds",
     "cosine_similarity", "sorted_similarity_matrix", "similarity_diversity",
     "intra_inter_class_similarity",
     "tsne",

@@ -1,66 +1,46 @@
-"""Fast evaluation engine: lockstep fold solves with an equivalence guard.
+"""Fast evaluation engine: exact lockstep fold solves.
 
 The reference protocol (:mod:`repro.eval.protocol`) runs one scipy
 L-BFGS fit per (repeat, fold) cell — 50 serial solver calls for the
-paper's 10-fold x 5-repeat graph protocol, each over a freshly
-concatenated, freshly standardized copy of the training split.  This
-module returns identical ``(mean, std)`` results several times faster:
+paper's 10-fold x 5-repeat graph protocol.  This module returns the
+identical ``(mean, std)`` several times faster:
 
-Streaming fold statistics
-    Each repeat's per-fold standardization comes from
-    :mod:`repro.eval.folds`: global column sums minus the held-out
-    fold's sums, never re-reducing the other folds' rows.  Training
-    splits are materialized once per cell straight into the solver's
-    input buffer instead of the reference's concatenate-then-scale
-    double copy.
-
-Lockstep fold solves
+Exact lockstep solves
     A fold's accuracy depends on scipy's *under-converged* L-BFGS
-    endpoint (200 iterations), so a different solver trajectory is not
-    an option.  The engine drives one reverse-communication
-    ``setulb`` instance per fold — the exact routine, constants, and
-    iteration policy behind ``optimize.minimize(method="L-BFGS-B")`` —
-    and answers all pending (loss, gradient) requests per round with
-    fused batched kernels: per-fold bias-augmented GEMMs over shared
-    weight/gradient matrices plus one batched elementwise pass for the
-    loss chain (squared hinge for the SVM, stabilized softmax for the
-    logistic probe).  The trajectory matches the reference's to
-    floating-point roundoff (the kernels are mathematically equal but
-    associate differently), which the margin guard below turns into
-    equal protocol results.
+    endpoint (200 iterations), so only the reference trajectory itself
+    will do.  The engine drives one reverse-communication ``setulb``
+    instance per fold — the exact routine, constants, and iteration
+    policy behind ``optimize.minimize(method="L-BFGS-B")`` — and answers
+    all pending (loss, gradient) requests per round with stacked
+    kernels.  Each fold's inputs come from the reference's own
+    :func:`~repro.eval.protocol.standardize`, and every fold's (f, g) is
+    bit-identical to the reference objective's: scores are ``x @ w + b``,
+    the loss expressions run in the reference's order, the bias gradient
+    is the same sequential column sum, and the parameters keep the
+    ``[w.ravel(), b]`` layout.  Stacking is exact because the GEMMs run
+    slice by slice and the elementwise steps do not depend on their
+    neighbours.  So every fold follows the reference trajectory to the
+    last bit; nothing is guarded or re-fit.
 
-Margin guard + exact fallback
-    Reproduced fold weights sit within ~1e-12 of the reference's, so a
-    prediction can only differ where a test sample's top-2 score gap is
-    of that order.  Every fold's minimum gap is checked against
-    ``REPRO_EVAL_GUARD`` (default 1e-6 for the lockstep SVM, 1e-2 for
-    the re-solved logistic probes); folds below it — none in practice —
-    are re-fit on the exact reference path.  Folds whose training split
-    misses a global class (the reference would fit a smaller
-    classifier) take the same fallback.
+    Folds whose training split misses a global class (the reference fits
+    a smaller classifier there), the SGD classifier (its trajectory
+    depends on every minibatch draw) and any run where scipy's private
+    driver is unavailable take exact reference cells instead.
 
-Joint logistic solves
-    The node protocol's probe repeats share one embedding matrix and
-    train/test rows, so they stack into a single joint objective
-    evaluated through one fused matmul over the raw embeddings, with
-    each repeat's streaming mean/std folded into its weight columns.
-    The joint solve converges tightly (a *converged* softmax minimizer
-    is trajectory-independent up to ~1e-3, unlike the fold solves
-    above) and a wider margin guard arbitrates.  It also backs the
-    graph logistic folds if the lockstep driver is ever unavailable.
+Node probe
+    The node protocol's probe repeats are the same kind of cell: one
+    logistic fit per subsampled training mask, solved on the same exact
+    lockstep.
 
 Parallel cross-validation
     The parallel unit is one repeat, fanned out through
     :func:`repro.pipeline.fork_map`.  Each repeat derives its RNG from
     the cell index alone (``seeded_rng(seed + repeat)``, the
-    reference's own scheme) and every batched kernel operates
-    slice-per-fold, so grouping does not perturb any fold's trajectory:
-    results are bit-identical at every ``eval_workers`` setting.
+    reference's own scheme), so results are bit-identical at every
+    ``eval_workers`` setting.
 
-The SGD classifier's trajectory depends on every minibatch draw, so its
-folds keep the exact reference arithmetic — parallel repeats are its
-only speedup.  :class:`EvalStats` records solver/fallback/skip counts
-and timings for the run journal and ``repro report``.
+:class:`EvalStats` records solver/fallback/skip counts and timings for
+the run journal and ``repro report``.
 """
 
 from __future__ import annotations
@@ -70,8 +50,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from scipy import optimize
 
 try:  # scipy's private L-BFGS-B core; probed before use, never required
     from scipy.optimize import _lbfgsb as _lbfgsb_core
@@ -88,24 +66,12 @@ from .metrics import accuracy, mean_std
 from .protocol import kfold_indices, standardize
 
 __all__ = ["EvalStats", "fast_evaluate_graph", "fast_evaluate_node",
-           "guard_tau", "lockstep_available", "resolve_eval_workers"]
+           "lockstep_available", "resolve_eval_workers"]
 
 #: Fault-injection point at the top of every graph-protocol repeat: the
 #: chaos drill kills a forked ``fork_map`` worker here (``kill`` rules are
 #: inert in the parent, which replays the lost repeat).
 REPEAT_POINT = "eval.repeat"
-
-#: Tight convergence for the joint logistic solve: the batched solution
-#: must sit close enough to the true minimizer that the margin guard's
-#: threshold dominates the reference's own solution error.
-_TIGHT_OPTIONS = {"ftol": 1e-14, "gtol": 1e-10}
-
-#: Margin-guard defaults per solver family.  The lockstep reproduces the
-#: reference trajectory to ~1e-12 in the weights, so 1e-6 leaves six
-#: orders of slack; the re-solved logistic probes (joint solve) deviate
-#: up to ~1e-3 from the reference's under-converged endpoint, hence the
-#: wider 1e-2.
-_GUARD_DEFAULTS = {"lockstep": 1e-6, "logreg": 1e-2}
 
 # Constants scipy's minimize(method="L-BFGS-B") passes to setulb for the
 # options the reference leaves at their defaults (maxiter is per fold).
@@ -114,22 +80,6 @@ _LBFGS_FACTR = 2.2204460492503131e-09 / np.finfo(np.float64).eps
 _LBFGS_PGTOL = 1e-5
 _LBFGS_MAXLS = 20
 _LBFGS_MAXFUN = 15000
-
-
-def guard_tau(kind: str = "logreg") -> float:
-    """Margin-guard threshold (``REPRO_EVAL_GUARD`` env, else per-kind).
-
-    Folds whose minimum top-2 test-score gap falls below this are re-fit
-    on the exact reference path.  ``kind`` is the solver family
-    (``"lockstep"`` or ``"logreg"`` for the joint solve) — the default
-    depends on how closely that solver tracks the reference (see
-    :data:`_GUARD_DEFAULTS`); the environment override applies to every
-    family at once.
-    """
-    env = os.environ.get("REPRO_EVAL_GUARD")
-    if env is not None:
-        return float(env)
-    return _GUARD_DEFAULTS.get(kind, _GUARD_DEFAULTS["logreg"])
 
 
 def resolve_eval_workers(workers: int | None = None) -> int:
@@ -147,12 +97,12 @@ class EvalStats:
     """Telemetry from one protocol evaluation (fast or reference path)."""
 
     seconds: float = 0.0
-    solver: str = "lockstep"      # lockstep | batched | reference | sgd
+    solver: str = "lockstep"      # lockstep | reference | sgd
     workers: int = 0
     repeats: int = 0
     folds_total: int = 0
-    folds_batched: int = 0        # solved by the lockstep / joint pass
-    folds_fallback: int = 0       # margin-guard / coverage re-fits
+    folds_batched: int = 0        # solved on the lockstep
+    folds_fallback: int = 0       # solved as reference cells
     folds_skipped: int = 0        # degenerate folds the protocol drops
     fit_iterations: int = 0       # total L-BFGS iterations across solves
     repeat_seconds: tuple = field(default_factory=tuple)
@@ -277,204 +227,168 @@ def lockstep_available() -> bool:
 class _LockstepState:
     """Shared buffers for one rectangular batch of lockstep solves.
 
-    ``xaugs`` are bias-augmented standardized training matrices (ones in
-    the last column) of one common shape ``(n, d + 1)``; ``y_list`` the
-    matching dense class-index vectors.  Each fold's flat parameter
-    vector is laid out as ``(d + 1, k)`` — weight rows then the bias
-    row — so one GEMM per fold covers scores + bias forward and
-    gradient + bias-gradient backward.
+    ``xs`` stacks the folds' standardized training matrices, shape
+    ``(count, n, d)``; ``y_list`` holds the matching class-index vectors.
+    Each fold's parameter row is the reference's flat ``[w.ravel(), b]``,
+    seen through the stacked views ``w`` ``(count, d, k)`` and ``b``
+    ``(count, 1, k)``; the gradient rows are laid out the same way.
     """
 
-    def __init__(self, xaugs: list[np.ndarray], y_list: list[np.ndarray],
-                 k: int, l2: float, max_iter: int):
-        count = len(xaugs)
-        n, d1 = xaugs[0].shape
-        self.count, self.n, self.d1, self.k = count, n, d1, k
-        self.dk = (d1 - 1) * k
-        self.dim = d1 * k
-        self.l2 = l2
-        self.flat = np.zeros((count, self.dim))
-        self.grad = np.zeros((count, self.dim))
+    def __init__(self, xs: np.ndarray, y_list: list[np.ndarray], k: int,
+                 l2: float, max_iter: int):
+        count, n, d = xs.shape
+        dk = d * k
+        self.count, self.n, self.l2 = count, n, l2
+        self.flat = np.zeros((count, dk + k))
+        self.grad = np.zeros((count, dk + k))
         self.insts = [_LBFGSInstance(self.flat[i], self.grad[i], max_iter)
                       for i in range(count)]
-        self.wbs = [self.flat[i].reshape(d1, k) for i in range(count)]
-        self.gfulls = [self.grad[i].reshape(d1, k) for i in range(count)]
-        self.wpart = self.flat[:, : self.dk]
-        self.xaugs = xaugs
-        self.xaug_ts = [a.T for a in xaugs]
+        self.w_flat = self.flat[:, :dk]
+        self.w = self.w_flat.reshape(count, d, k)
+        self.b = self.flat[:, None, dk:]
+        self.grad_w = self.grad[:, :dk].reshape(count, d, k)
+        self.grad_b = self.grad[:, dk:]
+        self.xs = xs
+        self.xs_t = xs.transpose(0, 2, 1)
         onehot = np.zeros((count, n, k))
         for i, y_idx in enumerate(y_list):
             onehot[i, np.arange(n), y_idx] = 1.0
         self.onehot = onehot
-        self.y_list = y_list
         self.act = np.empty((count, n, k))
-        self.acts = [self.act[i] for i in range(count)]
         self.gm = np.empty((count, n, k))
-        self.gms = [self.gm[i] for i in range(count)]
-        self.wsq_buf = np.empty((count, self.dk))
-        # l2 term staged with zeroed bias columns: adding it to the full
-        # gradient matrix leaves the bias gradients untouched.
-        self.l2_flat = np.zeros((count, self.dim))
-        self.l2_w = self.l2_flat[:, : self.dk]
+        self.col_sums = np.empty((count, n, k))
+        self.l2_w = np.empty((count, d, k))
+        self.w_sq = np.empty((count, dk))
 
     def run(self, chain) -> tuple[np.ndarray, int]:
         """Drive all solves to termination; ``chain`` fills loss + gm.
 
-        Per round: forward GEMMs put each active fold's bias-inclusive
-        scores in ``act``; ``chain(active)`` must return the data-loss
-        vector and leave each fold's score-gradient in ``gm``; backward
-        GEMMs and the batched l2 terms finish the gradient.  Stale
-        inactive rows are harmless — their instances never read f or g
-        again.  Returns ``(wb, nit)`` with ``wb[i]`` the ``(d + 1, k)``
-        solution of fold ``i``.
+        Per round, ``act`` receives every fold's scores ``x @ w + b``;
+        ``chain()`` must return the data-loss vector and leave each
+        fold's score gradient in ``gm``; the gradient is then finished
+        as ``x.T @ gm + l2 * w`` and ``gm.sum(axis=0)`` (a sequential
+        column sum, which ``cumsum`` reproduces and a GEMM against ones
+        does not).  Finished folds are recomputed harmlessly: their
+        instances never read f or g again.  Returns ``(flat, nit)`` with
+        ``flat[i]`` fold ``i``'s ``[w.ravel(), b]`` solution.
         """
-        matmul = np.matmul
-        multiply = np.multiply
-        reduce_ = np.add.reduce
-        insts, xaugs, xaug_ts = self.insts, self.xaugs, self.xaug_ts
-        acts, gms, wbs, gfulls = self.acts, self.gms, self.wbs, self.gfulls
+        insts = self.insts
+        act, gm, col_sums = self.act, self.gm, self.col_sums
         half_l2 = 0.5 * self.l2
         active = list(range(self.count))
         while True:
             active = [i for i in active if insts[i].advance()]
             if not active:
                 break
-            for i in active:
-                matmul(xaugs[i], wbs[i], out=acts[i])
-            data_loss = chain(active)
-            for i in active:
-                matmul(xaug_ts[i], gms[i], out=gfulls[i])
-            multiply(self.wpart, self.wpart, out=self.wsq_buf)
-            loss = data_loss + half_l2 * reduce_(self.wsq_buf, axis=1)
-            multiply(self.l2, self.wpart, out=self.l2_w)
-            np.add(self.grad, self.l2_flat, out=self.grad)
+            np.matmul(self.xs, self.w, out=act)
+            np.add(act, self.b, out=act)
+            data_loss = chain()
+            np.matmul(self.xs_t, gm, out=self.grad_w)
+            np.multiply(self.l2, self.w, out=self.l2_w)
+            np.add(self.grad_w, self.l2_w, out=self.grad_w)
+            np.cumsum(gm, axis=1, out=col_sums)
+            self.grad_b[...] = col_sums[:, -1]
+            np.multiply(self.w_flat, self.w_flat, out=self.w_sq)
+            loss = data_loss + half_l2 * np.add.reduce(self.w_sq, axis=1)
             for i in active:
                 inst = insts[i]
                 inst.f = loss[i]
                 inst.nfev += 1
-        return (self.flat.reshape(self.count, self.d1, self.k),
-                sum(inst.nit for inst in insts))
+        return self.flat, sum(inst.nit for inst in insts)
 
 
-def _lockstep_svm_solve(xaugs: list[np.ndarray], y_list: list[np.ndarray],
-                        k: int, l2: float,
-                        max_iter: int) -> tuple[np.ndarray, int]:
+def _lockstep_svm_solve(xs: np.ndarray, y_list: list[np.ndarray], k: int,
+                        l2: float, max_iter: int) -> tuple[np.ndarray, int]:
     """Lockstep squared-hinge solves (reference ``LinearSVMClassifier``)."""
-    state = _LockstepState(xaugs, y_list, k, l2, max_iter)
+    state = _LockstepState(xs, y_list, k, l2, max_iter)
     signs = 2.0 * state.onehot - 1.0
-    neg2signs = np.multiply(-2.0, signs)
+    neg2signs = -2.0 * signs
     act, gm = state.act, state.gm
     count, n = state.count, state.n
-    sq_flat = np.empty((count, n * k))
-    sq = sq_flat.reshape(count, n, k)
-    nk = float(n * k)
-    fn = float(n)
+    sq = np.empty((count, n * k))
 
-    def chain(active):
-        # margins -> squared-hinge loss means, grad_margin in gm
+    def chain():
+        # margins = 1 - signs * scores; active = max(margins, 0)
         np.multiply(signs, act, out=act)
         np.subtract(1.0, act, out=act)
         np.maximum(act, 0.0, out=act)
-        np.multiply(act, act, out=sq)
+        np.multiply(act, act, out=sq.reshape(count, n, k))
+        # grad_margin = -2 * signs * active / n
         np.multiply(neg2signs, act, out=gm)
-        np.divide(gm, fn, out=gm)
-        return np.add.reduce(sq_flat, axis=1) / nk
+        np.divide(gm, n, out=gm)
+        return np.add.reduce(sq, axis=1) / (n * k)
 
     return state.run(chain)
 
 
-def _lockstep_logreg_solve(xaugs: list[np.ndarray], y_list: list[np.ndarray],
-                           k: int, l2: float,
+def _lockstep_logreg_solve(xs: np.ndarray, y_list: list[np.ndarray], k: int,
+                           l2: float,
                            max_iter: int) -> tuple[np.ndarray, int]:
     """Lockstep softmax solves (reference ``LogisticRegressionClassifier``)."""
-    state = _LockstepState(xaugs, y_list, k, l2, max_iter)
+    state = _LockstepState(xs, y_list, k, l2, max_iter)
     act, gm = state.act, state.gm
     count, n = state.count, state.n
     act_flat = act.reshape(count, n * k)
     rows = np.arange(count)[:, None]
     gather = np.stack([np.arange(n) * k + y_idx for y_idx in y_list])
-    fn = float(n)
 
-    def chain(active):
-        # stabilized softmax -> nll means, (probs - targets)/n in gm
+    def chain():
+        # stabilized softmax -> nll means, (probs - targets) / n in gm
         np.subtract(act, act.max(axis=2, keepdims=True), out=act)
         np.exp(act, out=act)
         np.divide(act, np.add.reduce(act, axis=2, keepdims=True), out=act)
         picked = act_flat[rows, gather]
         np.add(picked, 1e-12, out=picked)
         np.log(picked, out=picked)
-        nll = -(np.add.reduce(picked, axis=1) / fn)
+        nll = -(np.add.reduce(picked, axis=1) / n)
         np.subtract(act, state.onehot, out=gm)
-        np.divide(gm, fn, out=gm)
+        np.divide(gm, n, out=gm)
         return nll
 
     return state.run(chain)
 
 
-def _min_top2_gap(test_scores: np.ndarray) -> float:
-    """Smallest top-2 score gap across a fold's test rows."""
-    top2 = np.partition(test_scores, test_scores.shape[1] - 2, axis=1)
-    return float((top2[:, -1] - top2[:, -2]).min())
+_LOCKSTEP_SOLVERS = {"svm": _lockstep_svm_solve,
+                     "logreg": _lockstep_logreg_solve}
 
 
-# ----------------------------------------------------------------------
-# Joint logistic solve (graph logreg folds, node probes)
-# ----------------------------------------------------------------------
-def _joint_solve(x: np.ndarray, class_ids: np.ndarray, k: int,
-                 plan: FoldPlan, l2: float,
-                 max_iter: int) -> tuple[np.ndarray, int]:
-    """Solve all of a plan's logistic folds in one L-BFGS run.
+def _lockstep_cells(classifier: str, x: np.ndarray, labels: np.ndarray,
+                    classes: np.ndarray, cells: list[tuple],
+                    l2: float, max_iter: int) -> tuple[list[float], int]:
+    """Accuracies of ``(train_idx, test_idx)`` cells on the lockstep.
 
-    Parametrized in each fold's *standardized* coordinates (so the
-    regularizer matches the reference exactly) but evaluated through one
-    fused matmul over the raw embeddings, with the per-fold mean/std
-    folded into the weights.  Returns ``(scores, nit)`` where ``scores``
-    has shape ``(n, F, k)`` — row scores of every sample under every
-    fold's classifier — and ``nit`` is the solver's iteration count.
+    Each cell is what the reference fits: ``standardize`` on its rows, a
+    ``classifier`` fit on ``labels[train_idx]`` (whose class set must be
+    ``classes``), and predictions ``classes[argmax(x_test @ w + b)]``.
+    Cells are grouped by training-row count so every lockstep batch is
+    rectangular.  Returns the accuracies in cell order and the total
+    L-BFGS iteration count.
     """
-    n, d = x.shape
-    f_count = len(plan.valid)
-    inv_std_t = (1.0 / plan.std).T                     # (d, F)
-    mean_t = plan.mean.T                               # (d, F)
-    train_w = 1.0 - plan.test_mask                     # (n, F)
-    n_tr = plan.train_sizes                            # (F,)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), class_ids] = 1.0
-    rows = np.arange(n)[:, None]
-    cols = np.arange(f_count)[None, :]
-
-    def scores_of(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w = flat[: d * f_count * k].reshape(d, f_count, k)
-        b = flat[d * f_count * k:].reshape(f_count, k)
-        w_prime = w * inv_std_t[:, :, None]            # std folded in
-        s = (x @ w_prime.reshape(d, f_count * k)).reshape(n, f_count, k)
-        b_prime = b - np.einsum("fd,dfk->fk", plan.mean, w_prime)
-        return s + b_prime[None], w
-
-    def objective(flat: np.ndarray):
-        s, w = scores_of(flat)
-        shifted = s - s.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=2, keepdims=True)
-        picked = probs[rows, cols, class_ids[:, None]]
-        nll = -(np.log(picked + 1e-12) * train_w).sum(axis=0) / n_tr
-        loss = float(nll.sum())
-        grad_s = ((probs - onehot[:, None, :]) * train_w[:, :, None]
-                  / n_tr[None, :, None])
-        loss += 0.5 * l2 * float((w ** 2).sum())
-        xt_g = (x.T @ grad_s.reshape(n, f_count * k)).reshape(d, f_count, k)
-        colsum = grad_s.sum(axis=0)                    # (F, k)
-        grad_w = (inv_std_t[:, :, None]
-                  * (xt_g - mean_t[:, :, None] * colsum[None])
-                  + l2 * w)
-        return loss, np.concatenate([grad_w.ravel(), colsum.ravel()])
-
-    start = np.zeros(d * f_count * k + f_count * k)
-    result = optimize.minimize(
-        objective, start, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter * f_count, **_TIGHT_OPTIONS})
-    scores, _ = scores_of(result.x)
-    return scores, int(result.nit)
+    solve = _LOCKSTEP_SOLVERS[classifier]
+    d = x.shape[1]
+    k = len(classes)
+    groups: dict[int, list[int]] = {}
+    for c, (train_idx, _) in enumerate(cells):
+        groups.setdefault(len(train_idx), []).append(c)
+    scores = [0.0] * len(cells)
+    nit = 0
+    for n, members in groups.items():
+        xs = np.empty((len(members), n, d))
+        x_tests, y_list = [], []
+        for i, c in enumerate(members):
+            train_idx, test_idx = cells[c]
+            xs[i], x_test = standardize(x[train_idx], x[test_idx])
+            x_tests.append(x_test)
+            y_list.append(np.searchsorted(classes, labels[train_idx]))
+        with trace("eval/lockstep"):
+            flat, group_nit = solve(xs, y_list, k, l2, max_iter)
+        nit += group_nit
+        for i, c in enumerate(members):
+            weight = flat[i, : d * k].reshape(d, k)
+            test_scores = x_tests[i] @ weight + flat[i, d * k:]
+            preds = classes[np.argmax(test_scores, axis=1)]
+            scores[c] = accuracy(preds, labels[cells[c][1]])
+    return scores, nit
 
 
 # ----------------------------------------------------------------------
@@ -487,19 +401,17 @@ class _GraphContext:
     x: np.ndarray
     labels: np.ndarray
     class_ids: np.ndarray
-    num_classes: int
     classes: np.ndarray
     classifier: str
     folds: int
     seed: int
-    tau: float
     l2: float
     max_iter: int
     lockstep: bool = False
 
 
 def _reference_cell(ctx, plan: FoldPlan, position: int, repeat: int) -> float:
-    """One (repeat, fold) cell on the exact reference arithmetic."""
+    """One (repeat, fold) cell on the reference classifier."""
     train_idx = plan.train_indices(position)
     test_idx = plan.folds[position]
     x_train, x_test = standardize(ctx.x[train_idx], ctx.x[test_idx])
@@ -508,105 +420,39 @@ def _reference_cell(ctx, plan: FoldPlan, position: int, repeat: int) -> float:
     return accuracy(model.predict(x_test), ctx.labels[test_idx])
 
 
-_LOCKSTEP_SOLVERS = {"svm": _lockstep_svm_solve,
-                     "logreg": _lockstep_logreg_solve}
-
-
-def _lockstep_repeat(ctx, plan: FoldPlan, repeat: int,
-                     out: dict) -> list[float]:
-    """One repeat's folds: lockstep solves + margin guard.
-
-    Folds are grouped by training-split size (``np.array_split`` makes
-    at most two sizes per repeat) so each lockstep batch is rectangular;
-    uncovered or guard-tripped folds re-fit on the reference path.
-    """
-    solve = _LOCKSTEP_SOLVERS[ctx.classifier]
-    x = ctx.x
-    d = x.shape[1]
-    k = ctx.num_classes
-
-    scores_by_pos: dict[int, float] = {}
-    groups: dict[int, list[int]] = {}
-    for j, position in enumerate(plan.valid):
-        if plan.covered[j]:
-            groups.setdefault(len(plan.folds[position]), []).append(j)
-        else:
-            scores_by_pos[position] = _reference_cell(ctx, plan, position,
-                                                      repeat)
-            out["fallback"] += 1
-
-    for members in groups.values():
-        xaugs, y_list = [], []
-        for j in members:
-            train_idx = plan.train_indices(plan.valid[j])
-            xaug = np.empty((len(train_idx), d + 1))
-            np.subtract(x[train_idx], plan.mean[j], out=xaug[:, :d])
-            xaug[:, :d] /= plan.std[j]
-            xaug[:, d] = 1.0
-            xaugs.append(xaug)
-            y_list.append(ctx.class_ids[train_idx])
-        with trace("eval/lockstep"):
-            wb, nit = solve(xaugs, y_list, k, ctx.l2, ctx.max_iter)
-        out["nit"] += nit
-        for i, j in enumerate(members):
-            position = plan.valid[j]
-            test_idx = plan.folds[position]
-            x_test = (x[test_idx] - plan.mean[j]) / plan.std[j]
-            test_scores = x_test @ wb[i, :d] + wb[i, d]
-            if _min_top2_gap(test_scores) >= ctx.tau:
-                preds = ctx.classes[np.argmax(test_scores, axis=1)]
-                scores_by_pos[position] = accuracy(preds,
-                                                   ctx.labels[test_idx])
-                out["batched"] += 1
-            else:
-                scores_by_pos[position] = _reference_cell(ctx, plan,
-                                                          position, repeat)
-                out["fallback"] += 1
-    return [scores_by_pos[position] for position in plan.valid]
-
-
 def _graph_repeat_task(repeat: int) -> dict:
-    """Evaluate one repeat of the graph protocol on the fast engine."""
+    """Evaluate one repeat of the graph protocol on the fast engine.
+
+    Covered folds are solved together on the lockstep; the rest (every
+    fold for SGD or without the driver) are reference cells, for which
+    parallel repeats are the only speedup.
+    """
     _inject(REPEAT_POINT)
     ctx = map_context()
     started = time.perf_counter()
     rng = seeded_rng(ctx.seed + repeat)
     fold_list = kfold_indices(len(ctx.labels), ctx.folds, rng)
-    plan = plan_folds(ctx.x, ctx.class_ids, fold_list, ctx.num_classes)
+    plan = plan_folds(ctx.class_ids, fold_list, len(ctx.classes))
     out = {"score": None, "skipped": plan.skipped, "batched": 0,
            "fallback": 0, "nit": 0, "seconds": 0.0}
-    if not plan.valid:
-        out["seconds"] = time.perf_counter() - started
-        return out
-
-    if ctx.lockstep:
-        fold_scores = _lockstep_repeat(ctx, plan, repeat, out)
-    elif ctx.classifier == "logreg":
-        # Missing lockstep driver: the joint solve still beats 10 scipy
-        # wrapper round-trips on the copies alone.
-        scores, nit = _joint_solve(ctx.x, ctx.class_ids, ctx.num_classes,
-                                   plan, ctx.l2, ctx.max_iter)
-        out["nit"] = nit
-        fold_scores = []
-        for j, position in enumerate(plan.valid):
-            test_idx = plan.folds[position]
-            test_scores = scores[test_idx, j, :]
-            if plan.covered[j] and _min_top2_gap(test_scores) >= ctx.tau:
-                preds = ctx.classes[np.argmax(test_scores, axis=1)]
-                fold_scores.append(accuracy(preds, ctx.labels[test_idx]))
-                out["batched"] += 1
-            else:
-                fold_scores.append(_reference_cell(ctx, plan, position,
-                                                   repeat))
-                out["fallback"] += 1
-    else:
-        # SGD (trajectory depends on every minibatch draw) or an SVM
-        # without the driver: exact reference cells, parallel repeats
-        # are the only speedup.
-        fold_scores = [_reference_cell(ctx, plan, pos, repeat)
-                       for pos in plan.valid]
-        out["fallback"] = len(plan.valid)
-    out["score"] = float(np.mean(fold_scores))
+    scores_by_pos: dict[int, float] = {}
+    lockstep_pos = []
+    for j, position in enumerate(plan.valid):
+        if ctx.lockstep and plan.covered[j]:
+            lockstep_pos.append(position)
+        else:
+            scores_by_pos[position] = _reference_cell(ctx, plan, position,
+                                                      repeat)
+            out["fallback"] += 1
+    if lockstep_pos:
+        cells = [(plan.train_indices(p), plan.folds[p]) for p in lockstep_pos]
+        scores, out["nit"] = _lockstep_cells(
+            ctx.classifier, ctx.x, ctx.labels, ctx.classes, cells,
+            ctx.l2, ctx.max_iter)
+        scores_by_pos.update(zip(lockstep_pos, scores))
+        out["batched"] = len(cells)
+    if plan.valid:
+        out["score"] = float(np.mean([scores_by_pos[p] for p in plan.valid]))
     out["seconds"] = time.perf_counter() - started
     return out
 
@@ -629,10 +475,8 @@ def fast_evaluate_graph(embeddings: np.ndarray, labels: np.ndarray, *,
     probe = make_classifier(classifier, seed=seed)
     lockstep = classifier in _LOCKSTEP_SOLVERS and lockstep_available()
     ctx = _GraphContext(x=x, labels=labels, class_ids=class_ids,
-                        num_classes=len(classes), classes=classes,
-                        classifier=classifier, folds=folds, seed=seed,
-                        tau=guard_tau("lockstep" if lockstep else "logreg"),
-                        l2=probe.l2, max_iter=probe.max_iter,
+                        classes=classes, classifier=classifier, folds=folds,
+                        seed=seed, l2=probe.l2, max_iter=probe.max_iter,
                         lockstep=lockstep)
     with trace("eval/graph"):
         results = fork_map(_graph_repeat_task, range(repeats),
@@ -641,10 +485,8 @@ def fast_evaluate_graph(embeddings: np.ndarray, labels: np.ndarray, *,
     mean, std = mean_std(run_scores)
     if classifier == "sgd":
         solver = "sgd"
-    elif lockstep:
-        solver = "lockstep"
     else:
-        solver = "batched" if classifier == "logreg" else "reference"
+        solver = "lockstep" if lockstep else "reference"
     stats = EvalStats(
         seconds=time.perf_counter() - started,
         solver=solver,
@@ -659,12 +501,12 @@ def fast_evaluate_graph(embeddings: np.ndarray, labels: np.ndarray, *,
 
 
 # ----------------------------------------------------------------------
-# Node protocol (repeats batched into one joint solve)
+# Node protocol (probe repeats on the same lockstep)
 # ----------------------------------------------------------------------
 def _node_reference_repeat(x: np.ndarray, labels: np.ndarray,
                            subset: np.ndarray,
                            test_idx: np.ndarray) -> float:
-    """One node-probe repeat on the exact reference arithmetic."""
+    """One node-probe repeat on the reference classifier."""
     x_train, x_test = standardize(x[subset], x[test_idx])
     model = make_classifier("logreg")
     model.fit(x_train, labels[subset])
@@ -677,10 +519,10 @@ def fast_evaluate_node(embeddings: np.ndarray, labels: np.ndarray,
                        ) -> tuple[float, float, EvalStats]:
     """Fast path for :func:`repro.eval.protocol.evaluate_node_embeddings`.
 
-    The probe repeats differ only in their subsampled training masks, so
-    they batch into a single joint logistic solve over the train+test
-    rows (the batch *is* the whole evaluation — worker count is moot).
-    Guarded repeats fall back to the exact reference fit.
+    The probe repeats differ only in their subsampled training masks;
+    repeats whose subset sees every training class are solved together
+    on the lockstep, the rest (or all, without the driver) as reference
+    repeats.  The batch is the whole evaluation, so worker count is moot.
     """
     started = time.perf_counter()
     x = np.asarray(embeddings, dtype=np.float64)
@@ -700,71 +542,31 @@ def fast_evaluate_node(embeddings: np.ndarray, labels: np.ndarray,
             subset = train_idx
         subsets.append(subset)
 
-    overlap = np.intersect1d(train_idx, test_idx).size > 0
+    # With fewer than two training classes the reference raises; its
+    # repeats below reproduce that error.
     classes = np.unique(labels[train_idx])
-    if overlap or len(classes) < 2:
-        # Degenerate splits: run the reference path verbatim (including
-        # its error behavior when the probe cannot be fit).
-        scores = [_node_reference_repeat(x, labels, subset, test_idx)
-                  for subset in subsets]
-        mean, std = mean_std(scores)
-        stats = EvalStats(seconds=time.perf_counter() - started,
-                          solver="reference", repeats=repeats,
-                          folds_total=repeats, folds_fallback=repeats)
-        return 100.0 * mean, 100.0 * std, stats
-
-    rows = np.concatenate([train_idx, test_idx])
-    xs = x[rows]
-    t_count = len(train_idx)
-    cid_train = np.searchsorted(classes, labels[train_idx])
-    cid_all = np.zeros(len(rows), dtype=np.int64)
-    cid_all[:t_count] = cid_train      # test rows masked out of the loss
-    total_sum = xs[:t_count].sum(axis=0)
-    total_sq = (xs[:t_count] * xs[:t_count]).sum(axis=0)
-
-    mean_arr = np.empty((repeats, x.shape[1]))
-    std_arr = np.empty((repeats, x.shape[1]))
-    sizes = np.empty(repeats)
-    t_mask = np.ones((len(rows), repeats))    # complement of train weight
-    covered = np.empty(repeats, dtype=bool)
+    lockstep = len(classes) >= 2 and lockstep_available()
+    scores: list[float] = [0.0] * repeats
+    lockstep_rep = []
     for r, subset in enumerate(subsets):
-        pos = np.searchsorted(train_idx, subset)
-        dropped = np.ones(t_count, dtype=bool)
-        dropped[pos] = False
-        drop_rows = xs[:t_count][dropped]
-        take = len(subset)
-        mu = (total_sum - drop_rows.sum(axis=0)) / take
-        var = ((total_sq - (drop_rows * drop_rows).sum(axis=0)) / take
-               - mu * mu)
-        sd = np.sqrt(np.maximum(var, 0.0))
-        sd[sd < 1e-12] = 1.0
-        mean_arr[r], std_arr[r], sizes[r] = mu, sd, take
-        t_mask[pos, r] = 0.0
-        counts = np.bincount(cid_train[pos], minlength=len(classes))
-        covered[r] = bool((counts > 0).all())
-
-    plan = FoldPlan(folds=[], valid=list(range(repeats)), mean=mean_arr,
-                    std=std_arr, train_sizes=sizes, test_mask=t_mask,
-                    covered=covered)
-    with trace("eval/node"):
-        scores_all, nit = _joint_solve(xs, cid_all, len(classes), plan,
-                                       probe.l2, probe.max_iter)
-    tau = guard_tau("logreg")
-    scores = []
-    batched = fallback = 0
-    for r, subset in enumerate(subsets):
-        test_scores = scores_all[t_count:, r, :]
-        if covered[r] and _min_top2_gap(test_scores) >= tau:
-            preds = classes[np.argmax(test_scores, axis=1)]
-            scores.append(accuracy(preds, labels[test_idx]))
-            batched += 1
+        if lockstep and len(np.unique(labels[subset])) == len(classes):
+            lockstep_rep.append(r)
         else:
-            scores.append(_node_reference_repeat(x, labels, subset,
-                                                 test_idx))
-            fallback += 1
+            scores[r] = _node_reference_repeat(x, labels, subset, test_idx)
+    nit = 0
+    if lockstep_rep:
+        with trace("eval/node"):
+            cell_scores, nit = _lockstep_cells(
+                "logreg", x, labels, classes,
+                [(subsets[r], test_idx) for r in lockstep_rep],
+                probe.l2, probe.max_iter)
+        for r, score in zip(lockstep_rep, cell_scores):
+            scores[r] = score
     mean, std = mean_std(scores)
     stats = EvalStats(seconds=time.perf_counter() - started,
-                      solver="batched", repeats=repeats,
-                      folds_total=repeats, folds_batched=batched,
-                      folds_fallback=fallback, fit_iterations=nit)
+                      solver="lockstep" if lockstep else "reference",
+                      repeats=repeats, folds_total=repeats,
+                      folds_batched=len(lockstep_rep),
+                      folds_fallback=repeats - len(lockstep_rep),
+                      fit_iterations=nit)
     return 100.0 * mean, 100.0 * std, stats

@@ -1,25 +1,10 @@
-"""Streaming fold statistics for cross-validation without re-copies.
+"""Per-repeat cross-validation layout for the fast evaluation engine.
 
-The reference protocol materializes every fold's training matrix with
-``np.concatenate`` and recomputes its standardization mean/std from
-scratch — an O(folds x n x d) copy-and-reduce per repeat.  This module
-computes the same per-fold quantities from **global sums minus the
-held-out fold's sums**:
-
-* one pass accumulates ``sum(x)`` and ``sum(x^2)`` over the full
-  embedding matrix;
-* each fold's complement (its training split) then gets its mean and
-  standard deviation in O(fold x d) via subtraction, never touching the
-  other folds' rows;
-* degenerate folds (training split with fewer than two classes) are
-  detected from label bincounts the same way, without building the index
-  arrays.
-
-The streaming mean/std agree with the reference's
-:func:`repro.eval.protocol.standardize` to floating-point roundoff (a
-hypothesis suite pins the tolerance); the evaluation engine's margin
-guard (see :mod:`repro.eval.engine`) is what turns "agree to roundoff"
-into bit-identical protocol results.
+:func:`plan_folds` decides, from label bincounts alone, which folds the
+reference protocol would fit and which of those see every class in their
+training split.  The engine standardizes each fold it fits with the
+reference's own :func:`repro.eval.protocol.standardize`, so no per-fold
+statistics live here.
 """
 
 from __future__ import annotations
@@ -28,16 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FoldPlan", "plan_folds", "streaming_train_stats"]
-
-#: Reference ``standardize`` clamps tiny deviations to 1.0; the streaming
-#: path uses the identical threshold so constant features scale the same.
-_STD_FLOOR = 1e-12
+__all__ = ["FoldPlan", "plan_folds"]
 
 
 @dataclass
 class FoldPlan:
-    """Per-repeat cross-validation layout with streaming statistics.
+    """Per-repeat cross-validation layout.
 
     Attributes
     ----------
@@ -46,29 +27,14 @@ class FoldPlan:
     valid:
         Positions of folds whose *training* complement has at least two
         classes; the reference protocol silently skips the rest.
-    mean / std:
-        ``(len(valid), d)`` streaming standardization statistics of each
-        valid fold's training complement.
-    train_sizes:
-        ``(len(valid),)`` training-row counts ``n - len(fold)``.
-    test_mask:
-        ``(n, len(valid))`` float matrix; column ``j`` is 1.0 on the rows
-        of valid fold ``j`` (the held-out split), 0.0 elsewhere.  The
-        complement ``1 - test_mask`` weights training rows.
     covered:
         ``(len(valid),)`` bool; True when the fold's training split
-        contains every global class, so a one-vs-rest problem over the
-        global class set matches what the reference would fit.  Folds
-        with partial coverage train a smaller classifier in the
-        reference path and must be solved there.
+        contains every global class.  Folds with partial coverage train
+        a smaller classifier in the reference path and are solved there.
     """
 
     folds: list[np.ndarray]
     valid: list[int]
-    mean: np.ndarray
-    std: np.ndarray
-    train_sizes: np.ndarray
-    test_mask: np.ndarray
     covered: np.ndarray
 
     @property
@@ -79,52 +45,23 @@ class FoldPlan:
     def train_indices(self, position: int) -> np.ndarray:
         """Reference-ordered training indices of fold ``position``.
 
-        Concatenates the other folds in fold order — the exact array (and
-        row order) the reference path builds — for consumers that need a
-        materialized split (the SGD classifier's minibatch walk, the
-        margin-guard fallback refits).
+        Concatenates the other folds in fold order: the exact array (and
+        row order) the reference path builds.
         """
         return np.concatenate([f for j, f in enumerate(self.folds)
                                if j != position])
 
 
-def streaming_train_stats(x: np.ndarray, fold: np.ndarray,
-                          total_sum: np.ndarray,
-                          total_sq: np.ndarray) -> tuple[np.ndarray,
-                                                         np.ndarray]:
-    """Mean/std of ``x`` with the ``fold`` rows held out, from global sums.
-
-    ``total_sum`` / ``total_sq`` are the full-matrix column sums of ``x``
-    and ``x**2``; the complement statistics come out by subtracting the
-    fold's own sums.  The variance is clamped at zero (catastrophic
-    cancellation can drive it slightly negative for near-constant
-    columns) and deviations below the reference's ``1e-12`` floor are
-    mapped to 1.0, mirroring :func:`repro.eval.protocol.standardize`.
-    """
-    rows = x[fold]
-    n_train = x.shape[0] - len(fold)
-    if n_train <= 0:
-        raise ValueError("fold holds out every row; nothing to fit")
-    mean = (total_sum - rows.sum(axis=0)) / n_train
-    var = (total_sq - (rows * rows).sum(axis=0)) / n_train - mean * mean
-    std = np.sqrt(np.maximum(var, 0.0))
-    std[std < _STD_FLOOR] = 1.0
-    return mean, std
-
-
-def plan_folds(x: np.ndarray, class_ids: np.ndarray,
-               fold_list: list[np.ndarray], num_classes: int) -> FoldPlan:
-    """Build the streaming :class:`FoldPlan` for one repeat's folds.
+def plan_folds(class_ids: np.ndarray, fold_list: list[np.ndarray],
+               num_classes: int) -> FoldPlan:
+    """Build the :class:`FoldPlan` for one repeat's folds.
 
     ``class_ids`` are dense label indices (``np.unique`` inverse) over all
     ``n`` rows; validity of a fold means its training complement still
-    contains at least two classes — computed from bincount differences,
+    contains at least two classes, computed from bincount differences and
     matching the reference's ``len(np.unique(labels[train_idx])) < 2``
     skip rule exactly.
     """
-    n, d = x.shape
-    total_sum = x.sum(axis=0)
-    total_sq = (x * x).sum(axis=0)
     total_counts = np.bincount(class_ids, minlength=num_classes)
     valid = []
     full_cover = []
@@ -135,15 +72,5 @@ def plan_folds(x: np.ndarray, class_ids: np.ndarray,
         if present.sum() >= 2:
             valid.append(i)
             full_cover.append(bool(present.all()))
-    mean = np.empty((len(valid), d))
-    std = np.empty((len(valid), d))
-    train_sizes = np.empty(len(valid))
-    test_mask = np.zeros((n, len(valid)))
-    for j, i in enumerate(valid):
-        fold = fold_list[i]
-        mean[j], std[j] = streaming_train_stats(x, fold, total_sum, total_sq)
-        train_sizes[j] = n - len(fold)
-        test_mask[fold, j] = 1.0
-    return FoldPlan(folds=fold_list, valid=valid, mean=mean, std=std,
-                    train_sizes=train_sizes, test_mask=test_mask,
+    return FoldPlan(folds=fold_list, valid=valid,
                     covered=np.asarray(full_cover, dtype=bool))

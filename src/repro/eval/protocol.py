@@ -6,9 +6,8 @@
 * Node classification: frozen node embeddings -> linear probe trained on the
   transductive train mask, accuracy on the test mask (Table V/VII protocol).
 
-Both protocols run on the fast engine (:mod:`repro.eval.engine` —
-streaming fold statistics, batched fold solves, optional parallel CV) by
-default; the engine guarantees bit-identical ``(mean, std)`` to the
+Both protocols run on the fast engine (:mod:`repro.eval.engine`:
+exact lockstep fold solves, optional parallel CV) by default; the engine guarantees bit-identical ``(mean, std)`` to the
 reference per-fold path, which stays available behind
 ``engine="reference"`` / ``REPRO_FAST_EVAL=0`` and anchors the
 equivalence test suite.  :func:`last_eval_stats` exposes the most recent

@@ -53,6 +53,9 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if self.edges.size and (self.edges[:, 0] == self.edges[:, 1]).any():
             raise ValueError("self loops are not allowed in the edge list")
+        if not np.isfinite(self.x).all():
+            raise ValueError("x must hold only finite numbers "
+                             "(NaN and infinities are rejected)")
 
     # ------------------------------------------------------------------
     # Basic properties

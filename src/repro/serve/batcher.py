@@ -134,6 +134,13 @@ def check_deadline_ms(ms: float, name: str = "deadline_ms") -> float:
     return float(ms)
 
 
+def check_count(value: int, name: str) -> int:
+    """A size or bound that must be at least 1; ``name`` gets the blame."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 class MicroBatcher:
     """Coalesce concurrent embed requests into block-diagonal forwards.
 
@@ -170,11 +177,8 @@ class MicroBatcher:
                  deadline_ms: float | None = None,
                  forward_timeout_ms: float | None = None,
                  metrics: MetricRegistry | None = None):
-        if max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be >= 1, got {max_batch_size}")
-        if queue_size < 1:
-            raise ValueError(f"queue_size must be >= 1, got {queue_size}")
+        check_count(max_batch_size, "max_batch_size")
+        check_count(queue_size, "queue_size")
         self._forward = forward
         self.max_batch_size = max_batch_size
         self.deadline_ms = check_deadline_ms(

@@ -3,8 +3,8 @@
 The contract under test is the tentpole guarantee: for every classifier,
 fold/repeat shape, and worker count, ``engine="fast"`` returns the exact
 ``(mean, std)`` floats of the seed reference protocol.  Plain ``==`` on
-the tuples, never ``approx`` — the engine's margin guard exists precisely
-so that equality holds bitwise.
+the tuples, never ``approx``: every lockstep fold computes the reference
+objective bit for bit, so equality holds bitwise.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.eval import (
     lockstep_available,
     resolve_eval_workers,
 )
-from repro.eval.engine import guard_tau
 
 
 @pytest.fixture(scope="module")
@@ -85,27 +84,11 @@ class TestGraphEquivalence:
         assert fast == ref
         assert last_eval_stats().folds_skipped == ref_skipped > 0
 
-    def test_guard_fallback_stays_identical(self, data, monkeypatch):
-        # An absurdly wide guard margin re-fits every fold on the
-        # reference path — results must not move, only the stats.
-        x, y = data
-        ref = evaluate_graph_embeddings(x, y, folds=4, repeats=2,
-                                        engine="reference")
-        monkeypatch.setenv("REPRO_EVAL_GUARD", "1e9")
-        fast = evaluate_graph_embeddings(x, y, folds=4, repeats=2,
-                                         engine="fast")
-        assert fast == ref
-        stats = last_eval_stats()
-        assert stats.folds_batched == 0
-        assert stats.folds_fallback == stats.folds_total
-
     def test_without_lockstep_driver(self, data, monkeypatch):
-        # Driver unavailable: SVM folds drop to reference cells, logreg
-        # folds to the joint solve — equivalence must survive both.
+        # Driver unavailable: SVM and logreg folds drop to reference cells.
         monkeypatch.setattr(engine_mod, "_lockstep_ok", False)
         x, y = data
-        for classifier, solver in (("svm", "reference"),
-                                   ("logreg", "batched")):
+        for classifier in ("svm", "logreg"):
             ref = evaluate_graph_embeddings(x, y, classifier=classifier,
                                             folds=4, repeats=1,
                                             engine="reference")
@@ -113,7 +96,7 @@ class TestGraphEquivalence:
                                              folds=4, repeats=1,
                                              engine="fast")
             assert fast == ref
-            assert last_eval_stats().solver == solver
+            assert last_eval_stats().solver == "reference"
 
     def test_engine_switch_validation(self, data):
         x, y = data
@@ -127,6 +110,57 @@ class TestGraphEquivalence:
         assert not fast_eval_enabled()
         monkeypatch.delenv("REPRO_FAST_EVAL")
         assert fast_eval_enabled()
+
+
+class TestTightMargins:
+    """Folds whose test scores sit near a tie: only an exact (f, g) agrees."""
+
+    @pytest.fixture(scope="class")
+    def hard(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((360, 32)).astype(np.float32)
+        y = (x[:, :4].sum(1) + 1.5 * rng.standard_normal(360) > 0).astype(int)
+        return x, y
+
+    @pytest.mark.parametrize("classifier", ("svm", "logreg"))
+    def test_single_repeat_seeds_identical(self, hard, classifier):
+        x, y = hard
+        for seed in range(20):
+            ref = evaluate_graph_embeddings(x, y, classifier=classifier,
+                                            repeats=1, seed=seed,
+                                            engine="reference")
+            fast = evaluate_graph_embeddings(x, y, classifier=classifier,
+                                             repeats=1, seed=seed,
+                                             engine="fast", eval_workers=0)
+            assert fast == ref, seed
+            assert last_eval_stats().folds_fallback == 0
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("classifier", ("svm", "logreg"))
+    def test_trained_checkpoint_seeds_identical(self, classifier, tmp_path):
+        # The benchmark's checkpoint recipe: GraphCL + GradGCL(a=0.5) on
+        # NCI1 small, two epochs, seed 0.
+        from repro.cli import main
+        from repro.datasets import load_tu_dataset
+        from repro.serve import FrozenEncoder
+
+        run_dir = tmp_path / "ckpt"
+        assert main(["run", "--method", "GraphCL", "--dataset", "NCI1",
+                     "--scale", "small", "--weight", "0.5", "--epochs", "2",
+                     "--seed", "0", "--eval-workers", "0",
+                     "--run-dir", str(run_dir),
+                     "--checkpoint-every", "2"]) == 0
+        x = FrozenEncoder.from_checkpoint(run_dir).embed(
+            load_tu_dataset("NCI1", scale="small", seed=0).graphs)
+        y = load_tu_dataset("NCI1", scale="small", seed=0).labels()
+        for seed in range(30):
+            ref = evaluate_graph_embeddings(x, y, classifier=classifier,
+                                            repeats=1, seed=seed,
+                                            engine="reference")
+            fast = evaluate_graph_embeddings(x, y, classifier=classifier,
+                                             repeats=1, seed=seed,
+                                             engine="fast", eval_workers=0)
+            assert fast == ref, seed
 
 
 class TestNodeEquivalence:
@@ -147,7 +181,7 @@ class TestNodeEquivalence:
                                        engine="reference")
         fast = evaluate_node_embeddings(x, y, train, test, engine="fast")
         assert fast == ref
-        assert last_eval_stats().solver == "batched"
+        assert last_eval_stats().solver == "lockstep"
 
     def test_bit_identical_more_repeats(self, node_data):
         x, y, train, test = node_data
@@ -156,6 +190,26 @@ class TestNodeEquivalence:
         fast = evaluate_node_embeddings(x, y, train, test, repeats=5,
                                         engine="fast")
         assert fast == ref
+
+    def test_subset_fallback_gives_two_sizes(self):
+        # Ten training nodes, one of class 1 (index 9): repeat 1's 90%
+        # subset drops it and falls back to all ten, so the lockstep
+        # batches two subset sizes.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 5))
+        y = np.zeros(40, dtype=int)
+        y[9] = 1
+        y[20:] = 1
+        train = np.zeros(40, dtype=bool)
+        train[:10] = True
+        ref = evaluate_node_embeddings(x, y, train, ~train, repeats=3,
+                                       engine="reference")
+        fast = evaluate_node_embeddings(x, y, train, ~train, repeats=3,
+                                        engine="fast")
+        assert fast == ref
+        stats = last_eval_stats()
+        assert stats.solver == "lockstep"
+        assert stats.folds_batched == 3
 
 
 class TestEngineKnobs:
@@ -177,15 +231,6 @@ class TestEngineKnobs:
         assert resolve_eval_workers(0) == 0  # explicit beats env
         with pytest.raises(ValueError, match="workers"):
             resolve_eval_workers(-1)
-
-    def test_guard_tau_per_solver_family(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVAL_GUARD", raising=False)
-        assert guard_tau("lockstep") == pytest.approx(1e-6)
-        assert guard_tau("logreg") == pytest.approx(1e-2)
-        assert guard_tau("unknown") == pytest.approx(1e-2)
-        monkeypatch.setenv("REPRO_EVAL_GUARD", "0.5")
-        assert guard_tau("lockstep") == 0.5
-        assert guard_tau("logreg") == 0.5
 
     def test_stats_journal_fields(self, data):
         x, y = data

@@ -33,6 +33,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [[-1, 1]], np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, bad):
+        x = np.ones((3, 2))
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Graph(3, np.array([[0, 1]]), x)
+
     def test_rejects_self_loops(self):
         with pytest.raises(ValueError, match="self loops"):
             Graph(2, [[1, 1]], np.eye(2))

@@ -179,7 +179,7 @@ class TestRunCommand:
         (event,) = events_of(read_journal(str(run_dir)), "eval")
         assert event["eval_workers"] == 2
         assert event["eval_folds"] == 50
-        assert event["eval_solver"] in ("lockstep", "batched", "reference")
+        assert event["eval_solver"] in ("lockstep", "reference")
         assert len(event["eval_repeat_seconds"]) == 5
         assert main(["report", str(run_dir)]) == 0
         assert "eval" in capsys.readouterr().out
@@ -211,6 +211,24 @@ class TestRunCommand:
             labels = archive["labels"]
         assert embeddings.dtype == np.float32
         assert embeddings.shape[0] == labels.shape[0] > 0
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--cache-entries", "-1"], "cache_entries must be >= 1"),
+        (["--forward-timeout-ms", "nan"], "forward_timeout_ms must be"),
+        (["--max-batch-size", "0"], "max_batch_size must be >= 1"),
+        (["--queue-size", "0"], "queue_size must be >= 1"),
+        (["--deadline-ms", "-5"], "deadline_ms must be"),
+    ], ids=["cache-entries-neg", "forward-timeout-nan", "max-batch-size-0",
+            "queue-size-0", "deadline-neg"])
+    def test_serve_flag_error_is_usage_error(self, tmp_path, capsys, flags,
+                                             message):
+        # Judged before the checkpoint loads: the run dir need not exist.
+        code = main(["serve", "--run-dir", str(tmp_path / "absent"),
+                     *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags,message", [
         # A 1-graph batch has no in-batch negatives (every batch would be
