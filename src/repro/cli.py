@@ -398,7 +398,8 @@ def _cmd_flow(args) -> int:
 
 def _judge_serve_flags(args) -> None:
     """Reject bad ``repro serve`` values before the checkpoint loads."""
-    from repro.serve.batcher import check_count, check_deadline_ms
+    from repro.serve.batcher import check_deadline_ms
+    from repro.utils.checks import check_count
 
     try:
         check_count(args.max_batch_size, "max_batch_size")

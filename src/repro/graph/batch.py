@@ -101,7 +101,9 @@ class GraphBatch:
         return self.x.shape[1]
 
     def _as_graph(self) -> Graph:
-        return Graph(self.num_nodes, self.edges, self.x)
+        # Member graphs were validated when built; skip the re-checks.
+        return Graph._from_parts(self.num_nodes, self.edges, self.x, None,
+                                 None)
 
     def adjacency(self, normalization: str = "gcn") -> sp.csr_matrix:
         """Return the (memoized) block-diagonal adjacency.

@@ -44,6 +44,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..obs import MetricRegistry
+from ..utils.checks import check_count
 
 __all__ = ["LRU", "StructureCache", "structure_fingerprint",
            "use_structure_cache", "active_structure_cache"]
@@ -100,9 +101,7 @@ class LRU:
                  metrics: MetricRegistry | None = None):
         if max_entries is None:
             max_entries = self.default_max_entries
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
+        self.max_entries = check_count(max_entries, "max_entries")
         self.metrics = metrics if metrics is not None else MetricRegistry()
         self._hits = f"{self.prefix}.hits"
         self._misses = f"{self.prefix}.misses"

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..utils.checks import check_count
 from .registry import get_method, method_levels
 
 __all__ = ["RunConfig", "CONFIG_FILENAME", "ConfigError"]
@@ -85,9 +86,11 @@ class RunConfig:
                 f"weight must be in [0, 1], got {self.weight}")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.cache_entries is not None and self.cache_entries < 1:
-            raise ConfigError(
-                f"cache_entries must be >= 1, got {self.cache_entries}")
+        if self.cache_entries is not None:
+            try:
+                check_count(self.cache_entries, "cache_entries")
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if self.level is not None and self.level not in ("graph", "node"):
             raise ConfigError(
                 f"level must be 'graph' or 'node', got {self.level!r}")

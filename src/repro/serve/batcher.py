@@ -60,6 +60,7 @@ from ..faults import Deadline, default_deadline_ms, default_forward_timeout_ms
 from ..faults import inject as _inject
 from ..faults import record as _record_fault
 from ..obs import MetricRegistry
+from ..utils.checks import check_count
 
 __all__ = ["MicroBatcher", "ServiceOverloaded", "ServiceTimeout"]
 
@@ -132,13 +133,6 @@ def check_deadline_ms(ms: float, name: str = "deadline_ms") -> float:
             f"{name} must be a finite number of milliseconds in "
             f"(0, {threading.TIMEOUT_MAX * 1000.0:.0f}], got {ms}")
     return float(ms)
-
-
-def check_count(value: int, name: str) -> int:
-    """A size or bound that must be at least 1; ``name`` gets the blame."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 class MicroBatcher:

@@ -191,10 +191,18 @@ class TestNodeEquivalence:
                                         engine="fast")
         assert fast == ref
 
-    def test_subset_fallback_gives_two_sizes(self):
-        # Ten training nodes, one of class 1 (index 9): repeat 1's 90%
-        # subset drops it and falls back to all ten, so the lockstep
-        # batches two subset sizes.
+    def test_subset_fallback_gives_two_sizes(self, monkeypatch):
+        # Ten training nodes, one of class 1 (index 9): a 90% subset that
+        # drops it falls back to all ten, so the lockstep batches two
+        # subset sizes.
+        sizes = []
+        solve = engine_mod._lockstep_cells
+
+        def recording(classifier, x, labels, classes, cells, *args):
+            sizes.extend(len(train_idx) for train_idx, _ in cells)
+            return solve(classifier, x, labels, classes, cells, *args)
+
+        monkeypatch.setattr(engine_mod, "_lockstep_cells", recording)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 5))
         y = np.zeros(40, dtype=int)
@@ -210,6 +218,7 @@ class TestNodeEquivalence:
         stats = last_eval_stats()
         assert stats.solver == "lockstep"
         assert stats.folds_batched == 3
+        assert sorted(set(sizes)) == [9, 10]
 
 
 class TestEngineKnobs:
