@@ -6,13 +6,13 @@
 * Node classification: frozen node embeddings -> linear probe trained on the
   transductive train mask, accuracy on the test mask (Table V/VII protocol).
 
-Both protocols run on the fast engine (:mod:`repro.eval.engine`:
-exact lockstep fold solves, optional parallel CV) by default; the engine guarantees bit-identical ``(mean, std)`` to the
-reference per-fold path, which stays available behind
-``engine="reference"`` / ``REPRO_FAST_EVAL=0`` and anchors the
-equivalence test suite.  :func:`last_eval_stats` exposes the most recent
-evaluation's telemetry (solver, fallback/skip counts, timings) for the
-run journal.
+Both protocols run on the fast engine (:mod:`repro.eval.engine`: exact
+lockstep fold solves, optional parallel CV) by default; the engine
+guarantees bit-identical ``(mean, std)`` to the reference per-fold path,
+which stays available behind ``engine="reference"`` /
+``REPRO_FAST_EVAL=0`` and anchors the equivalence test suite.
+:func:`last_eval_stats` exposes the most recent evaluation's telemetry
+(solver, fallback/skip counts, timings) for the run journal.
 """
 
 from __future__ import annotations
